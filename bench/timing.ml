@@ -1,56 +1,43 @@
 (* S1 — wall-clock micro-benchmarks (bechamel): one Test.make per
-   algorithm, run over pre-generated instances of two sizes.  Estimates are
-   OLS nanoseconds per run against the monotonic clock. *)
+   {!Sap.Solvers} entry, run over pre-generated instances of two sizes,
+   each entry on its own class subset ({!Sap.Solvers.subset}, as the lab
+   and [combine] run it).  Estimates are OLS nanoseconds per run against
+   the monotonic clock.  [exact] is left out: its run time is its node
+   budget (tens of seconds at n = 30), not a solver speed. *)
 
 open Bechamel
 open Bechamel.Toolkit
 
-module Path = Core.Path
-
-let instance_of ~n ~edges seed =
+let instance_of ~path_of ~n ~edges seed =
   let g = Util.Prng.create seed in
-  let path = Gen.Profiles.valley ~edges ~high:64 ~low:16 in
-  let tasks = Gen.Workloads.mixed_tasks ~prng:g ~path ~n () in
-  (path, tasks)
-
-let medium_instance_of ~n ~edges seed =
-  let g = Util.Prng.create seed in
-  let path = Gen.Profiles.valley ~edges ~high:64 ~low:16 in
-  let tasks = Gen.Workloads.ratio_tasks ~prng:g ~path ~n ~lo:0.25 ~hi:0.5 () in
-  (path, tasks)
+  let path = path_of ~edges in
+  (path, Gen.Workloads.mixed_tasks ~prng:g ~path ~n ())
 
 let tests () =
-  let small = instance_of ~n:30 ~edges:10 1 in
-  let large = instance_of ~n:80 ~edges:20 2 in
-  let medium_small = medium_instance_of ~n:30 ~edges:10 1 in
-  let medium_large = medium_instance_of ~n:80 ~edges:20 2 in
-  let mk ?(inputs = (small, large)) name f =
-    let lo, hi = inputs in
-    [
-      Test.make ~name:(name ^ " (n=30,m=10)") (Staged.stage (fun () -> f lo));
-      Test.make ~name:(name ^ " (n=80,m=20)") (Staged.stage (fun () -> f hi));
-    ]
+  let sizes path_of =
+    (instance_of ~path_of ~n:30 ~edges:10 1, instance_of ~path_of ~n:80 ~edges:20 2)
   in
-  let mk_medium = mk ~inputs:(medium_small, medium_large) in
-  let combine (path, ts) = ignore (Sap.Combine.solve path ts) in
-  let strip (path, ts) =
-    ignore
-      (Sap.Small.strip_pack ~rounding:`Local_ratio ~prng:(Util.Prng.create 7) path ts)
+  let valley = sizes (fun ~edges -> Gen.Profiles.valley ~edges ~high:64 ~low:16) in
+  let uniform = sizes (fun ~edges -> Gen.Profiles.uniform ~edges ~capacity:64) in
+  let seed = Sap.Combine.default_config.Sap.Combine.seed in
+  let run s (path, ts) =
+    let ts = Sap.Solvers.subset s path ts in
+    fun () -> ignore (s.Sap.Solvers.solve ~seed ~parallel:false path ts)
   in
-  let medium (path, ts) = ignore (Sap.Almost_uniform.run ~ell:2 ~q:2 path ts) in
-  let large_solve (path, ts) = ignore (Sap.Large.solve path ts) in
-  let lp (path, ts) = ignore (Lp.Ufpp_lp.solve path ts) in
-  let first_fit (path, ts) = ignore (Dsa.First_fit.pack path ts) in
+  let accepts s inst =
+    match run s inst () with () -> true | exception Invalid_argument _ -> false
+  in
   Test.make_grouped ~name:"sap" ~fmt:"%s %s"
-    (List.concat
-       [
-         mk "combine" combine;
-         mk "strip-pack" strip;
-         mk_medium "almost-uniform" medium;
-         mk "rect-mwis" large_solve;
-         mk "ufpp-lp" lp;
-         mk "first-fit" first_fit;
-       ])
+    (List.concat_map
+       (fun s ->
+         (* Entries that reject the valley profile ([sapu] needs uniform
+            capacities) run on uniform paths of the same sizes. *)
+         let lo, hi = if accepts s (fst valley) then valley else uniform in
+         let mk size inst =
+           Test.make ~name:(s.Sap.Solvers.name ^ size) (Staged.stage (run s inst))
+         in
+         [ mk " (n=30,m=10)" lo; mk " (n=80,m=20)" hi ])
+       (List.filter (fun s -> s.Sap.Solvers.name <> "exact") Sap.Solvers.all))
 
 let run () =
   Bench_util.section "S1  Runtime (bechamel, ns per run, OLS estimate)";

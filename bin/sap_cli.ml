@@ -93,34 +93,6 @@ let gen_cmd profile edges capacity kind n seed output =
 
 (* ---------- solve ---------- *)
 
-(* Every algorithm derives its parameters from [Combine.default_config] so
-   standalone part runs ([--algorithm small|medium]) agree with what the
-   combination would feed them; [--seed] reaches every randomized engine.
-   [combine_report] captures the part-level report for the audit record. *)
-let algorithms ~seed ~parallel ~combine_report =
-  let dc = Sap.Combine.default_config in
-  let q = Sap.Combine.q_of_beta dc.Sap.Combine.beta in
-  let ell = Sap.Almost_uniform.ell_for_eps ~eps:dc.Sap.Combine.eps ~q in
-  [
-    ("combine", fun path ts ->
-        let r =
-          Sap.Combine.solve_report
-            ~config:{ dc with Sap.Combine.seed; parallel } path ts
-        in
-        combine_report := Some r;
-        r.Sap.Combine.solution);
-    ("small", fun path ts ->
-        Sap.Small.strip_pack ~parallel ~rounding:dc.Sap.Combine.rounding
-          ~prng:(Util.Prng.create seed) path ts);
-    ("medium", fun path ts ->
-        (Sap.Almost_uniform.run ~ell ~q ?max_states:dc.Sap.Combine.max_states
-           path ts).Sap.Almost_uniform.solution);
-    ("large", fun path ts -> Sap.Large.solve path ts);
-    ("sapu", fun path ts -> Sap.Sap_u.solve path ts);
-    ("firstfit", fun path ts -> fst (Dsa.First_fit.pack path ts));
-    ("exact", fun path ts -> Exact.Sap_brute.solve path ts);
-  ]
-
 let instance_stats_json path tasks =
   let s = Core.Instance_stats.compute path tasks in
   Obs.Json.Obj
@@ -146,16 +118,25 @@ let instance_stats_json path tasks =
 let solve_cmd input algorithm output quiet seed parallel stats_json audit
     trace_chrome =
   let path, tasks = read_instance input in
+  (* [combine] goes through [solve_report] so the audit can carry its
+     per-part contributions; every other algorithm is its registry entry. *)
   let combine_report = ref None in
   let solve =
-    match List.assoc_opt algorithm (algorithms ~seed ~parallel ~combine_report)
-    with
-    | Some f -> f
+    match Sap.Solvers.find algorithm with
     | None ->
         Printf.eprintf "error: unknown algorithm %S (have: %s)\n" algorithm
-          (String.concat ", "
-             (List.map fst (algorithms ~seed ~parallel ~combine_report)));
+          (String.concat ", " Sap.Solvers.names);
         exit 2
+    | Some { Sap.Solvers.name = "combine"; _ } ->
+        fun path ts ->
+          let r =
+            Sap.Combine.solve_report
+              ~config:{ Sap.Combine.default_config with seed; parallel }
+              path ts
+          in
+          combine_report := Some r;
+          r.Sap.Combine.solution
+    | Some s -> s.Sap.Solvers.solve ~seed ~parallel
   in
   let collect = stats_json <> None || trace_chrome <> None in
   if collect then Obs.Report.enable_all ();
@@ -428,8 +409,8 @@ let serve_cmd socket stdio workers queue cache_capacity default_timeout_ms log
 
 let batch_cmd socket files algorithm seed timeout_ms no_cache output_dir
     want_stats shutdown quiet =
-  if files = [] then begin
-    Printf.eprintf "error: batch needs at least one instance file\n";
+  if files = [] && not want_stats then begin
+    Printf.eprintf "error: batch needs at least one instance file (or --stats)\n";
     exit 2
   end;
   (match Sys.os_type with
@@ -491,7 +472,7 @@ let batch_cmd socket files algorithm seed timeout_ms no_cache output_dir
       List.iter
         (fun m -> Printf.eprintf "warning: %s\n" m)
         result.Client.transport_errors;
-      if not quiet then
+      if not quiet && files <> [] then
         Printf.printf "batch: %d ok (%d cached), %d failed in %.3fs\n" !ok !cached
           !failed dt;
       (match result.Client.stats with
@@ -962,33 +943,25 @@ let lab_run_cmd dir output max_nodes jobs gate quiet =
       2
   | Ok corpus ->
       Obs.Metrics.enable ();
-      let pool =
-        match jobs with
-        | Some j when j > 1 -> Some (Sap_server.Pool.create ~workers:j ())
-        | _ -> None
-      in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Sap_server.Pool.shutdown pool)
-        (fun () ->
-          let report = Lab.Ratio.run ?max_nodes ?pool corpus in
-          if not quiet then Format.printf "%a" Lab.Ratio.pp_summary report;
-          (match output with
-          | None -> ()
-          | Some file -> (
-              try
-                Sap_io.Instance_io.write_file file
-                  (Obs.Json.to_string_pretty (Lab.Ratio.report_json report) ^ "\n")
-              with Sys_error m ->
-                Printf.eprintf "error: cannot write ratio report: %s\n" m;
-                exit 2));
-          if gate && (report.Lab.Ratio.violations > 0 || report.Lab.Ratio.disagreements > 0)
-          then begin
-            Printf.printf
-              "lab run: GATE FAILED (%d bound violations, %d oracle disagreements)\n"
-              report.Lab.Ratio.violations report.Lab.Ratio.disagreements;
-            1
-          end
-          else 0)
+      let report = Lab.Ratio.run ?max_nodes ?jobs corpus in
+      if not quiet then Format.printf "%a" Lab.Ratio.pp_summary report;
+      (match output with
+      | None -> ()
+      | Some file -> (
+          try
+            Sap_io.Instance_io.write_file file
+              (Obs.Json.to_string_pretty (Lab.Ratio.report_json report) ^ "\n")
+          with Sys_error m ->
+            Printf.eprintf "error: cannot write ratio report: %s\n" m;
+            exit 2));
+      if gate && (report.Lab.Ratio.violations > 0 || report.Lab.Ratio.disagreements > 0)
+      then begin
+        Printf.printf
+          "lab run: GATE FAILED (%d bound violations, %d oracle disagreements)\n"
+          report.Lab.Ratio.violations report.Lab.Ratio.disagreements;
+        1
+      end
+      else 0
 
 let lab_hunt_cmd alg seed generations population budget hof_size jobs output
     hof_dir quiet =
@@ -1004,32 +977,24 @@ let lab_hunt_cmd alg seed generations population budget hof_size jobs output
       hof_size;
     }
   in
-  let pool =
-    match jobs with
-    | Some j when j > 1 -> Some (Sap_server.Pool.create ~workers:j ())
-    | _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Sap_server.Pool.shutdown pool)
-    (fun () ->
-      let report = Lab.Hunt.run ?pool config in
-      if not quiet then Format.printf "%a" Lab.Hunt.pp_summary report;
-      (match output with
-      | None -> ()
-      | Some file -> (
-          try
-            Sap_io.Instance_io.write_file file
-              (Obs.Json.to_string_pretty (Lab.Hunt.report_json report) ^ "\n")
-          with Sys_error m ->
-            Printf.eprintf "error: cannot write hunt report: %s\n" m;
-            exit 2));
-      (match hof_dir with
-      | None -> ()
-      | Some dir ->
-          let files = Lab.Hunt.write_hof ~dir report in
-          if not quiet then
-            List.iter (fun f -> Printf.printf "wrote %s/%s\n" dir f) files);
-      0)
+  let report = Lab.Hunt.run ?jobs config in
+  if not quiet then Format.printf "%a" Lab.Hunt.pp_summary report;
+  (match output with
+  | None -> ()
+  | Some file -> (
+      try
+        Sap_io.Instance_io.write_file file
+          (Obs.Json.to_string_pretty (Lab.Hunt.report_json report) ^ "\n")
+      with Sys_error m ->
+        Printf.eprintf "error: cannot write hunt report: %s\n" m;
+        exit 2));
+  (match hof_dir with
+  | None -> ()
+  | Some dir ->
+      let files = Lab.Hunt.write_hof ~dir report in
+      if not quiet then
+        List.iter (fun f -> Printf.printf "wrote %s/%s\n" dir f) files);
+  0
 
 let lab_worst_cmd report_file top =
   match Obs.Json.of_string (read_text_file report_file) with
@@ -1189,6 +1154,10 @@ open Cmdliner
 let input_arg =
   Arg.(required & opt (some string) None & info [ "i"; "input" ] ~doc:"Instance file.")
 
+let algorithm_arg =
+  Arg.(value & opt string "combine"
+       & info [ "algorithm"; "a" ] ~doc:(String.concat " | " Sap.Solvers.names))
+
 let gen_term =
   let profile =
     Arg.(value & opt string "uniform"
@@ -1210,11 +1179,6 @@ let gen_term =
   Term.(const gen_cmd $ profile $ edges $ capacity $ kind $ n $ seed $ output)
 
 let solve_term =
-  let algorithm =
-    Arg.(value & opt string "combine"
-         & info [ "algorithm"; "a" ]
-             ~doc:"combine | small | medium | large | sapu | firstfit | exact")
-  in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Solution file.")
   in
@@ -1251,7 +1215,7 @@ let solve_term =
                    load it in chrome://tracing or ui.perfetto.dev.  Worker \
                    domains appear as separate tracks.")
   in
-  Term.(const solve_cmd $ input_arg $ algorithm $ output $ quiet $ seed $ parallel
+  Term.(const solve_cmd $ input_arg $ algorithm_arg $ output $ quiet $ seed $ parallel
         $ stats_json $ audit $ trace_chrome)
 
 let bench_diff_term =
@@ -1363,11 +1327,6 @@ let batch_term =
     Arg.(value & pos_all file []
          & info [] ~docv:"INSTANCE" ~doc:"Instance files to solve.")
   in
-  let algorithm =
-    Arg.(value & opt string "combine"
-         & info [ "algorithm"; "a" ]
-             ~doc:"combine | small | medium | large | sapu | firstfit | exact")
-  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let timeout_ms =
     Arg.(value & opt (some int) None
@@ -1386,7 +1345,8 @@ let batch_term =
     Arg.(value & flag
          & info [ "stats" ]
              ~doc:"Request the server's stats after the batch and print the \
-                   JSON (request/cache/pool totals, server.* metrics).")
+                   JSON (request/cache/pool totals, server.* metrics).  With \
+                   no instance files, only the stats JSON is printed.")
   in
   let shutdown =
     Arg.(value & flag
@@ -1397,7 +1357,7 @@ let batch_term =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only errors and stats output.")
   in
-  Term.(const batch_cmd $ socket $ files $ algorithm $ seed $ timeout_ms
+  Term.(const batch_cmd $ socket $ files $ algorithm_arg $ seed $ timeout_ms
         $ no_cache $ output_dir $ want_stats $ shutdown $ quiet)
 
 let session_term =
@@ -1532,11 +1492,6 @@ let loadgen_term =
     Arg.(value & opt int Lab.Loadgen.default_config.Lab.Loadgen.distinct
          & info [ "distinct" ] ~doc:"Distinct instances cycled through the run.")
   in
-  let algorithm =
-    Arg.(value & opt string "combine"
-         & info [ "algorithm"; "a" ]
-             ~doc:"combine | small | medium | large | sapu | firstfit | exact")
-  in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Instance-mix PRNG seed.")
   in
@@ -1576,7 +1531,7 @@ let loadgen_term =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No summary on stderr.")
   in
   Term.(const loadgen_cmd $ socket $ rps $ duration $ connections $ profile
-        $ distinct $ algorithm $ seed $ timeout_ms $ no_cache $ no_scrape
+        $ distinct $ algorithm_arg $ seed $ timeout_ms $ no_cache $ no_scrape
         $ sweep $ sweep_threshold $ output $ quiet)
 
 let lab_gen_term =
@@ -1631,7 +1586,8 @@ let lab_hunt_term =
   let alg =
     Arg.(value & opt string Lab.Hunt.default_config.Lab.Hunt.alg
          & info [ "alg" ]
-             ~doc:"Algorithm to hunt: small | medium | large | combine | ring.")
+             ~doc:
+               ("Algorithm to hunt: " ^ String.concat " | " Lab.Hunt.algs ^ "."))
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Hunt PRNG seed.") in
   let generations =

@@ -227,7 +227,7 @@ let gravity_incumbent path a =
 type node = { n_i : int; n_placed : Core.Solution.sap; n_w : float; n_prev : prev_choice }
 
 (* Expand the shallowest open node breadth-first until there is enough
-   independent work to feed the pool.  Children are emitted in the same
+   independent work to feed the workers.  Children are emitted in the same
    order the sequential search would visit them, so with one worker the
    exploration order (and therefore the node count) matches sequential
    search modulo incumbent timing. *)
@@ -281,7 +281,7 @@ let expand_frontier ctx target =
 (* ---------- driver ---------- *)
 
 let solve ?(max_nodes = default_max_nodes) ?(lp_depth = 10)
-    ?(lp_min_remaining = 5) ?pool path ts =
+    ?(lp_min_remaining = 5) ?jobs path ts =
   Obs.Trace.with_span "lab.bb.solve"
     ~attrs:[ ("tasks", string_of_int (List.length ts)) ]
   @@ fun () ->
@@ -329,12 +329,11 @@ let solve ?(max_nodes = default_max_nodes) ?(lp_depth = 10)
     | () -> ()
     | exception Out_of_budget -> ()
   in
-  (match pool with
-  | None -> run_subtree { n_i = 0; n_placed = []; n_w = 0.0; n_prev = Free }
-  | Some pool ->
-      let ctx = mk_ctx () in
-      let frontier = expand_frontier ctx (4 * Sap_server.Pool.workers pool) in
-      ignore (Sap_server.Pool.map pool run_subtree frontier));
+  (match jobs with
+  | Some jobs when jobs > 1 ->
+      let frontier = expand_frontier (mk_ctx ()) (4 * jobs) in
+      ignore (Util.Parallel.map ~jobs run_subtree frontier)
+  | _ -> run_subtree { n_i = 0; n_placed = []; n_w = 0.0; n_prev = Free });
   let value, solution = Atomic.get shared.best in
   let optimal = not (Atomic.get shared.exhausted) in
   let upper_bound = if optimal then value else Float.min root_lp suffix.(0) in

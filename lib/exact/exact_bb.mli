@@ -1,7 +1,8 @@
 (** LP-pruned branch-and-bound exact SAP solver.
 
-    The lab's oracle for instances the exhaustive {!Exact.Sap_brute}
-    cannot touch.  Same search skeleton — take/skip each task, heights
+    The oracle for instances the exhaustive {!Sap_brute} cannot touch:
+    the ratio lab measures against it, and it is the [exact] entry of
+    {!Sap.Solvers}.  Same search skeleton — take/skip each task, heights
     drawn from the bounded subset sums of demands (complete by the gravity
     argument, Observation 11) — but with four accelerants:
 
@@ -18,10 +19,11 @@
       completions, so only the heaviest is expanded;
     - {b symmetry cut}: interchangeable tasks (same interval, demand and
       weight) are canonicalised to non-decreasing heights with no
-      placement after a skip, as in {!Exact.Sap_brute}.
+      placement after a skip, as in {!Sap_brute}.
 
-    Optionally fans the search frontier over a {!Sap_server.Pool}; workers
-    share the incumbent through an atomic, so pruning tightens globally.
+    Optionally fans the search frontier over [jobs] domains
+    ({!Util.Parallel.map}); workers share the incumbent through an atomic,
+    so pruning tightens globally.
     A node budget turns the solver into an anytime bound: when exhausted,
     [value] is the best incumbent and [upper_bound] a certified LP bound. *)
 
@@ -40,7 +42,7 @@ val solve :
   ?max_nodes:int ->
   ?lp_depth:int ->
   ?lp_min_remaining:int ->
-  ?pool:Sap_server.Pool.t ->
+  ?jobs:int ->
   Core.Path.t ->
   Core.Task.t list ->
   outcome
@@ -50,9 +52,9 @@ val solve :
     residual LP is priced only at branching depth [< lp_depth] (default
     10) with at least [lp_min_remaining] (default 5) tasks left, where it
     prunes whole subtrees; deeper nodes rely on the O(1) suffix bound.
-    With [?pool] the top of the tree is expanded breadth-first and the
-    subtrees solved on the pool's domains.  Tasks that fit nowhere
-    ([d_j > b(j)]) are dropped up front. *)
+    With [jobs > 1] the top of the tree is expanded breadth-first and the
+    subtrees solved on [jobs] domains; the default is sequential.  Tasks
+    that fit nowhere ([d_j > b(j)]) are dropped up front. *)
 
 val value : Core.Path.t -> Core.Task.t list -> float
 (** [(solve p ts).value]. *)
@@ -66,6 +68,6 @@ type ring_outcome = {
 
 val solve_ring : ?max_nodes:int -> Core.Ring.t -> ring_outcome
 (** Ring analogue branching over (subset, routing, heights) as
-    {!Exact.Ring_brute} does, with the density ordering, greedy incumbent,
+    {!Ring_brute} does, with the density ordering, greedy incumbent,
     dominated-state memo and node budget (no LP — the bound past the
     incumbent is the weight suffix).  Sequential. *)

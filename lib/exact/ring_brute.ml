@@ -9,7 +9,7 @@ let guard n =
     invalid_arg
       (Printf.sprintf
          "Exact.Ring_brute.solve: %d tasks exceed the exhaustive-search cap \
-          of %d (use Lab.Exact_bb.solve_ring for larger instances)"
+          of %d (use Exact.Exact_bb.solve_ring for larger instances)"
          n task_cap)
 
 (* Interchangeable ring tasks: same terminals, demand and weight.  Their

@@ -9,7 +9,7 @@
 
     Exponential with base 3, and guarded: calls with more than {!task_cap}
     tasks raise [Invalid_argument] instead of silently running forever.
-    Oracle for the Theorem 5 experiments and for [Lab.Exact_bb.solve_ring]. *)
+    Oracle for the Theorem 5 experiments and for {!Exact_bb.solve_ring}. *)
 
 val task_cap : int
 (** The hard task-count guard (12). *)

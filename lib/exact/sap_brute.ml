@@ -3,7 +3,7 @@ module Path = Core.Path
 
 (* The search is exponential in the task count with no LP pruning: past
    this many tasks it is effectively non-terminating, and callers should
-   use [Lab.Exact_bb] instead.  A hard guard beats a silent hang. *)
+   use [Exact_bb] instead.  A hard guard beats a silent hang. *)
 let task_cap = 16
 
 let guard what n =
@@ -11,7 +11,7 @@ let guard what n =
     invalid_arg
       (Printf.sprintf
          "Exact.Sap_brute.%s: %d tasks exceed the exhaustive-search cap of \
-          %d (use Lab.Exact_bb for larger instances)"
+          %d (use Exact.Exact_bb for larger instances)"
          what n task_cap)
 
 let height_candidates path ts =

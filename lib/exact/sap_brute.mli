@@ -12,8 +12,8 @@
 
     Exponential, and guarded: calls with more than {!task_cap} tasks raise
     [Invalid_argument] instead of silently running forever.  For larger
-    instances use the lab's LP-pruned branch and bound ([Lab.Exact_bb]),
-    which this module is the correctness oracle for. *)
+    instances use the LP-pruned branch and bound ({!Exact_bb}), which
+    this module is the correctness oracle for. *)
 
 val task_cap : int
 (** The hard task-count guard (16). *)

@@ -4,6 +4,7 @@ module Ring = Core.Ring
 module Prng = Util.Prng
 module Json = Obs.Json
 module Perturb = Gen.Perturb
+module Exact_bb = Exact.Exact_bb
 
 let schema = "sap-hunt v1"
 
@@ -141,13 +142,11 @@ let evaluate ~alg ~max_nodes instance =
   let r =
     match instance with
     | Corpus.Path_instance (path, tasks) ->
-        let pa =
-          List.find (fun pa -> pa.Ratio.pa_name = alg) Ratio.path_algs
-        in
-        let subset = pa.Ratio.pa_subset path tasks in
+        let s = Option.get (Sap.Solvers.find alg) in
+        let subset = Sap.Solvers.subset s path tasks in
         if subset = [] then zero true
         else
-          let w = Core.Solution.sap_weight (pa.Ratio.pa_run path subset) in
+          let w = Core.Solution.sap_weight (Ratio.path_solve s path subset) in
           let out = Exact_bb.solve ~max_nodes path subset in
           let opt =
             if out.Exact_bb.optimal then out.Exact_bb.value
@@ -216,7 +215,7 @@ let update_hof ~hof_size hof candidates =
 
 let best_ratio hof = match hof with [] -> 0.0 | s :: _ -> s.ratio
 
-let run ?pool config =
+let run ?jobs config =
   if not (List.mem config.alg algs) then
     invalid_arg
       (Printf.sprintf "Lab.Hunt: unknown algorithm %S (have: %s)" config.alg
@@ -248,9 +247,7 @@ let run ?pool config =
       { instance; ratio; exact; opt; alg_weight; bb_nodes; born; op }
     in
     let scored =
-      match pool with
-      | Some p -> Sap_server.Pool.map p score cands
-      | None -> List.map score cands
+      Util.Parallel.map ~jobs:(Option.value jobs ~default:1) score cands
     in
     List.iter2
       (fun (op, _, parent_ratio) s ->

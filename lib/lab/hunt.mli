@@ -11,26 +11,26 @@
     split, weights jittered, spans shifted.
 
     Candidates are scored through the exact same per-algorithm runners
-    the ratio pipeline uses ({!Ratio.path_algs} / {!Ratio.ring_solve}),
+    the ratio pipeline uses ({!Ratio.path_solve} / {!Ratio.ring_solve}),
     so a hunted ratio is precisely what `lab run` will reproduce once the
-    instance is frozen into the corpus.  The oracle is {!Exact_bb} under
-    a per-candidate node budget; when the budget exhausts, the score
+    instance is frozen into the corpus.  The oracle is {!Exact.Exact_bb}
+    under a per-candidate node budget; when the budget exhausts, the score
     degrades to the certified lower bound [incumbent / ALG] (sound — the
     incumbent weight never exceeds OPT) and the candidate is barred from
     the hall of fame, which admits only exact-certified ratios.
 
     Determinism: one integer seed drives everything.  Mutation streams
     are {!Util.Prng.jump}/[split]-derived per (generation, slot) in the
-    main thread; candidate evaluation is pure and fans out over an
-    optional {!Sap_server.Pool} with order-preserving collection, so a
-    pooled run returns bit-identical results to a sequential one. *)
+    main thread; candidate evaluation is pure and fans out over [jobs]
+    domains ({!Util.Parallel.map}) with order-preserving collection, so a
+    parallel run returns bit-identical results to a sequential one. *)
 
 type config = {
   alg : string;  (** small | medium | large | combine | ring *)
   seed : int;
   generations : int;
   population : int;  (** candidates evaluated per generation *)
-  max_nodes : int;  (** {!Exact_bb} node budget per candidate evaluation *)
+  max_nodes : int;  (** {!Exact.Exact_bb} node budget per candidate *)
   hof_size : int;  (** hall-of-fame capacity *)
   max_tasks : int;  (** growth cap for duplicate/split mutations *)
 }
@@ -78,8 +78,9 @@ type report = {
   lp_fallbacks : int;  (** evaluations that exhausted the node budget *)
 }
 
-val run : ?pool:Sap_server.Pool.t -> config -> report
-(** Run the hunt.  Deterministic in [config] (with or without [pool]).
+val run : ?jobs:int -> config -> report
+(** Run the hunt, evaluating candidates on [jobs] domains (default 1).
+    Deterministic in [config], whatever [jobs].
     Raises [Invalid_argument] on an unknown [config.alg] or non-positive
     sizes. *)
 

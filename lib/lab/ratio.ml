@@ -2,6 +2,7 @@ module Task = Core.Task
 module Path = Core.Path
 module Ring = Core.Ring
 module Json = Obs.Json
+module Exact_bb = Exact.Exact_bb
 
 let schema = "sap-ratio v1"
 
@@ -65,76 +66,26 @@ let cfg = Sap.Combine.default_config
 
 let eps = cfg.Sap.Combine.eps
 
-let small_bound = 4.0 +. eps (* Theorem 1 *)
+(* The registry entries with a proven bound, in registry order. *)
+let path_algs =
+  List.filter (fun s -> s.Sap.Solvers.bound <> None) Sap.Solvers.all
 
-let medium_bound = 2.0 +. eps (* Theorem 2 with the Elevator, alpha = 2 *)
-
-let large_bound = 3.0 (* Theorem 3, k = 2 *)
-
-let combine_bound = small_bound +. medium_bound +. large_bound (* Lemma 3 *)
+let bound_of s = Option.get s.Sap.Solvers.bound
 
 let ring_knapsack_eps = 0.1
 
-let ring_bound = 1.0 +. combine_bound +. ring_knapsack_eps (* Lemma 18 *)
+(* Lemma 18: [1 + alpha + eps'], alpha the combination's bound. *)
+let ring_bound =
+  1.0 +. bound_of (Option.get (Sap.Solvers.find "combine")) +. ring_knapsack_eps
 
 let bounds =
-  [
-    ("small", small_bound);
-    ("medium", medium_bound);
-    ("large", large_bound);
-    ("combine", combine_bound);
-    ("ring", ring_bound);
-  ]
+  List.map (fun s -> (s.Sap.Solvers.name, bound_of s)) path_algs
+  @ [ ("ring", ring_bound) ]
 
-(* ---------- the per-algorithm runners ---------- *)
+(* ---------- the pinned runners ---------- *)
 
-type path_alg = {
-  pa_name : string;
-  pa_bound : float;
-  pa_subset : Core.Path.t -> Core.Task.t list -> Core.Task.t list;
-  pa_run : Core.Path.t -> Core.Task.t list -> Core.Solution.sap;
-}
-
-let split_part part path tasks =
-  part (Core.Classify.split3 path ~delta:cfg.Sap.Combine.delta ~large_frac:0.5 tasks)
-
-let path_algs =
-  let q = Sap.Combine.q_of_beta cfg.Sap.Combine.beta in
-  let ell = Sap.Almost_uniform.ell_for_eps ~eps ~q in
-  [
-    {
-      pa_name = "small";
-      pa_bound = small_bound;
-      pa_subset = split_part (fun s -> s.Core.Classify.small);
-      pa_run =
-        (fun path ts ->
-          Sap.Small.strip_pack ~rounding:cfg.Sap.Combine.rounding
-            ~prng:(Util.Prng.create cfg.Sap.Combine.seed)
-            path ts);
-    };
-    {
-      pa_name = "medium";
-      pa_bound = medium_bound;
-      pa_subset = split_part (fun s -> s.Core.Classify.medium);
-      pa_run =
-        (fun path ts ->
-          (Sap.Almost_uniform.run ~ell ~q ?max_states:cfg.Sap.Combine.max_states
-             path ts)
-            .Sap.Almost_uniform.solution);
-    };
-    {
-      pa_name = "large";
-      pa_bound = large_bound;
-      pa_subset = split_part (fun s -> s.Core.Classify.large);
-      pa_run = (fun path ts -> Sap.Large.solve path ts);
-    };
-    {
-      pa_name = "combine";
-      pa_bound = combine_bound;
-      pa_subset = (fun _ ts -> ts);
-      pa_run = (fun path ts -> Sap.Combine.solve ~config:cfg path ts);
-    };
-  ]
+let path_solve s path ts =
+  s.Sap.Solvers.solve ~seed:cfg.Sap.Combine.seed ~parallel:false path ts
 
 let ring_solve r = Sap.Ring_algo.solve ~config:cfg ~knapsack_eps:ring_knapsack_eps r
 
@@ -148,8 +99,8 @@ let within ~opt ~alg_weight ~bound =
   | Some r -> r <= bound +. 1e-9
   | None -> opt <= 1e-9 (* the algorithm scheduled nothing: fine iff OPT = 0 *)
 
-let measure_path ?max_nodes ?pool ~entry ~alg ~bound path subset alg_weight =
-  let out = Exact_bb.solve ?max_nodes ?pool path subset in
+let measure_path ?max_nodes ?jobs ~entry ~alg ~bound path subset alg_weight =
+  let out = Exact_bb.solve ?max_nodes ?jobs path subset in
   let opt, bound_kind =
     if out.Exact_bb.optimal then (out.Exact_bb.value, Exact_opt)
     else (out.Exact_bb.upper_bound, Lp_opt)
@@ -180,13 +131,13 @@ let measure_path ?max_nodes ?pool ~entry ~alg ~bound path subset alg_weight =
     bb_nodes = out.Exact_bb.nodes;
   }
 
-let run_path_entry ?max_nodes ?pool _t entry path tasks =
+let run_path_entry ?max_nodes ?jobs entry path tasks =
   List.map
-    (fun pa ->
-      let subset = pa.pa_subset path tasks in
-      let sol = pa.pa_run path subset in
-      measure_path ?max_nodes ?pool ~entry ~alg:pa.pa_name ~bound:pa.pa_bound
-        path subset
+    (fun s ->
+      let subset = Sap.Solvers.subset s path tasks in
+      let sol = path_solve s path subset in
+      measure_path ?max_nodes ?jobs ~entry ~alg:s.Sap.Solvers.name
+        ~bound:(bound_of s) path subset
         (Core.Solution.sap_weight sol))
     path_algs
 
@@ -329,7 +280,7 @@ let family_rows measurements =
         (distinct (fun m -> m.alg) fam))
     (distinct (fun m -> m.family) measurements)
 
-let run ?max_nodes ?pool (t : Corpus.t) =
+let run ?max_nodes ?jobs (t : Corpus.t) =
   Obs.Trace.with_span "lab.ratio.run"
     ~attrs:[ ("corpus", t.Corpus.dir) ]
   @@ fun () ->
@@ -342,7 +293,7 @@ let run ?max_nodes ?pool (t : Corpus.t) =
               (Printf.sprintf "Lab.Ratio: corpus entry %s: %s"
                  entry.Corpus.file msg)
         | Ok (Corpus.Path_instance (path, tasks)) ->
-            run_path_entry ?max_nodes ?pool t entry path tasks
+            run_path_entry ?max_nodes ?jobs entry path tasks
         | Ok (Corpus.Ring_instance r) -> run_ring_entry ?max_nodes entry r
         (* ROUND-SAP entries are measured by Round_lab (rounds vs. a
            lower bound, not weight vs. OPT); in a mixed corpus they are

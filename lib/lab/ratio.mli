@@ -1,10 +1,10 @@
 (** The empirical approximation-ratio pipeline.
 
-    For every corpus instance, runs each applicable algorithm — small
-    (Strip-Pack), medium (AlmostUniform), large (rectangle MWIS) and the
-    Theorem-4 combination on its classified task subset for path
-    instances; the Theorem-5 algorithm on rings — and measures
-    [OPT / ALG] against the {!Exact_bb} optimum.
+    For every corpus instance, runs each applicable algorithm — on path
+    instances every {!Sap.Solvers} entry with a proven bound (small,
+    medium, large, combine) on its classified task subset; the Theorem-5
+    algorithm on rings — and measures [OPT / ALG] against the
+    {!Exact.Exact_bb} optimum.
 
     When the branch and bound exhausts its node budget the row degrades
     gracefully: [opt] becomes the certified upper bound (root LP for
@@ -76,29 +76,22 @@ type report = {
 }
 
 val bounds : (string * float) list
-(** Algorithm name to instantiated proven bound. *)
+(** Algorithm name to instantiated proven bound: the bounded
+    {!Sap.Solvers} entries in registry order, then [ring]. *)
 
-type path_alg = {
-  pa_name : string;  (** small | medium | large | combine *)
-  pa_bound : float;  (** the instantiated proven bound *)
-  pa_subset : Core.Path.t -> Core.Task.t list -> Core.Task.t list;
-      (** the classified task subset the algorithm is responsible for
-          (identity for [combine]) *)
-  pa_run : Core.Path.t -> Core.Task.t list -> Core.Solution.sap;
-      (** the algorithm itself, at the lab's pinned configuration *)
-}
-
-val path_algs : path_alg list
-(** The four path algorithms exactly as the pipeline measures them —
-    {!Lab.Hunt} scores its candidates through these same runners, so a
+val path_solve :
+  Sap.Solvers.t -> Core.Path.t -> Core.Task.t list -> Core.Solution.sap
+(** A registry entry at the lab's pinned configuration (the default
+    config's seed, sequential) exactly as the pipeline measures it —
+    {!Lab.Hunt} scores its candidates through this same runner, so a
     hunted ratio is the ratio the corpus gate will reproduce. *)
 
 val ring_solve : Core.Ring.t -> Core.Ring.solution
 (** The Theorem 5 ring algorithm at the lab's pinned configuration. *)
 
-val run : ?max_nodes:int -> ?pool:Sap_server.Pool.t -> Corpus.t -> report
-(** Solve every entry.  [max_nodes] and [pool] are forwarded to
-    {!Exact_bb.solve}.  Raises [Invalid_argument] on an unreadable corpus
+val run : ?max_nodes:int -> ?jobs:int -> Corpus.t -> report
+(** Solve every entry.  [max_nodes] and [jobs] are forwarded to
+    {!Exact.Exact_bb.solve}.  Raises [Invalid_argument] on an unreadable corpus
     entry (a corrupt corpus is a configuration error, not a data point). *)
 
 val report_json : report -> Obs.Json.t

@@ -1,4 +1,4 @@
-(** Exact minimum-round search, mirroring {!Lab.Exact_bb}'s shape: an
+(** Exact minimum-round search, mirroring {!Exact.Exact_bb}'s shape: an
     anytime branch-and-bound with a node budget plus an independent
     brute-force oracle the tests and the lab gate cross-check it against.
 
@@ -16,7 +16,7 @@
     is tried in ascending order from {!Lower_bound.certified}, so the
     first feasible [r] is optimal; each fully-refuted [r] raises the
     certified lower bound even when the budget later runs out, making the
-    search an anytime bound exactly as in {!Lab.Exact_bb}. *)
+    search an anytime bound exactly as in {!Exact.Exact_bb}. *)
 
 type outcome = {
   rounds : Core.Solution.sap list;

@@ -65,12 +65,16 @@ let part_name = function
   | Medium_part -> "medium"
   | Large_part -> "large"
 
+let split config path ts =
+  Core.Classify.split3 path ~delta:config.delta
+    ~large_frac:(1.0 -. (2.0 *. config.beta))
+    ts
+
 let solve_report ?(config = default_config) path ts =
   let ts =
     List.filter (fun (j : Task.t) -> j.Task.demand <= Path.bottleneck_of path j) ts
   in
-  let large_frac = 1.0 -. (2.0 *. config.beta) in
-  let split = Core.Classify.split3 path ~delta:config.delta ~large_frac ts in
+  let split = split config path ts in
   let q = q_of_beta config.beta in
   let ell = Almost_uniform.ell_for_eps ~eps:config.eps ~q in
   Obs.Trace.with_span "combine.solve"

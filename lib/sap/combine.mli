@@ -35,6 +35,12 @@ val q_of_beta : float -> int
 
 type part = Small_part | Medium_part | Large_part
 
+val split : config -> Core.Path.t -> Core.Task.t list -> Core.Classify.split
+(** The Theorem 4 classification: small [d_j <= delta * b(j)], large
+    [d_j > (1 - 2 beta) * b(j)], medium in between — the subsets
+    {!solve_report} hands its three specialists (after dropping tasks
+    that fit nowhere). *)
+
 type report = {
   solution : Core.Solution.sap;
   chosen : part;

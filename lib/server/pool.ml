@@ -27,19 +27,11 @@ type t = {
   max_depth : int Atomic.t;
 }
 
-(* Domain-local marker so re-entrant fan-out (a job that itself calls
-   [map] or a Parallel runner) degrades to inline execution instead of
-   waiting on queue slots only this very domain could free. *)
-let worker_key = Domain.DLS.new_key (fun () -> false)
-
-let in_worker () = Domain.DLS.get worker_key
-
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let worker_loop t () =
-  Domain.DLS.set worker_key true;
   let rec loop () =
     let job =
       locked t (fun () ->
@@ -92,8 +84,6 @@ let create ?workers ?queue_capacity () =
   Atomic.set t.domains (List.init n_workers (fun _ -> Domain.spawn (worker_loop t)));
   t
 
-let workers t = t.n_workers
-
 let complete fut st =
   Mutex.lock fut.fm;
   fut.st <- st;
@@ -135,7 +125,7 @@ let completed fut =
   Mutex.unlock fut.fm;
   r
 
-let await_result fut =
+let await fut =
   Mutex.lock fut.fm;
   let rec wait () =
     match fut.st with
@@ -147,9 +137,7 @@ let await_result fut =
   in
   let r = wait () in
   Mutex.unlock fut.fm;
-  r
-
-let await fut = match await_result fut with Ok v -> v | Error e -> raise e
+  match r with Ok v -> v | Error e -> raise e
 
 (* [Condition] has no timed wait in the stdlib, so deadline waiting polls
    at millisecond granularity — coarse enough to cost nothing, fine
@@ -172,29 +160,6 @@ let await_until fut ~deadline =
   in
   loop ()
 
-let map t f xs =
-  if in_worker () then List.map f xs
-  else
-    let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
-    let results = List.map await_result futs in
-    List.map (function Ok v -> v | Error e -> raise e) results
-
-let installed_runner : t option Atomic.t = Atomic.make None
-
-let install_parallel_runner t =
-  Atomic.set installed_runner (Some t);
-  Util.Parallel.set_runner
-    (Some
-       (fun thunks ->
-         (* Thunks are exception-free by Parallel.map's contract; run
-            them inline when submitting could self-deadlock or the pool
-            is already draining. *)
-         if in_worker () then List.iter (fun g -> g ()) thunks
-         else
-           match List.map (fun g -> submit t g) thunks with
-           | futs -> List.iter (fun fu -> ignore (await_result fu)) futs
-           | exception Closed -> List.iter (fun g -> g ()) thunks))
-
 let shutdown t =
   let join =
     locked t (fun () ->
@@ -206,11 +171,6 @@ let shutdown t =
         end)
   in
   if join then begin
-    (match Atomic.get installed_runner with
-    | Some p when p == t ->
-        Atomic.set installed_runner None;
-        Util.Parallel.set_runner None
-    | _ -> ());
     Condition.broadcast t.not_empty;
     Condition.broadcast t.not_full;
     List.iter Domain.join (Atomic.get t.domains);

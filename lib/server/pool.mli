@@ -32,8 +32,6 @@ val create : ?workers:int -> ?queue_capacity:int -> unit -> t
     [Util.Parallel.default_jobs ()]; [queue_capacity] (default
     [4 * workers]) is the high-water mark past which [submit] blocks. *)
 
-val workers : t -> int
-
 val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a job; blocks while the queue is at capacity.
     @raise Closed once {!shutdown} has begun. *)
@@ -44,35 +42,15 @@ val completed : 'a future -> bool
 val await : 'a future -> 'a
 (** Block until the job finishes; re-raises its exception on failure. *)
 
-val await_result : 'a future -> ('a, exn) result
-(** [await] without the re-raise. *)
-
 val await_until : 'a future -> deadline:float -> 'a option
 (** Block until the job finishes or {!Obs.Clock.monotonic_seconds}
     reaches [deadline]; [None] on deadline (the job keeps running — the
     pool has no preemption, callers discard the future).  Re-raises the
     job's exception if it failed before the deadline. *)
 
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over the pool: submit one job per item,
-    await them all, re-raise the first (by item index) failure.  Called
-    from inside a pool worker it degrades to [List.map] — pool workers
-    must not block on pool capacity they themselves provide. *)
-
-val in_worker : unit -> bool
-(** True when the calling domain is one of this module's pool workers. *)
-
-val install_parallel_runner : t -> unit
-(** Route [Util.Parallel.map]'s fan-out through this pool instead of
-    spawning fresh domains (see {!Util.Parallel.set_runner}).  The runner
-    degrades to inline execution inside pool workers and after
-    {!shutdown}, so installing it can never deadlock the pool against
-    itself. *)
-
 val shutdown : t -> unit
 (** Graceful drain: reject new submissions, finish every accepted job,
-    join the workers.  Idempotent; uninstalls the parallel runner if this
-    pool was installed. *)
+    join the workers.  Idempotent. *)
 
 type stats = {
   workers : int;

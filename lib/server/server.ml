@@ -65,35 +65,6 @@ type t = {
   latency : (string * Obs.Metrics.histogram) list;
 }
 
-(* Same parameter derivation as sap_cli's standalone algorithms: every
-   engine reads its knobs off [Combine.default_config], so a [solve]
-   request for [small] agrees with what [combine] would feed the small
-   part.  Per-request parallelism stays off — the pool provides
-   cross-request parallelism, and nesting domain fan-outs inside worker
-   domains would oversubscribe the machine. *)
-let algorithms ~seed =
-  let dc = Sap.Combine.default_config in
-  let q = Sap.Combine.q_of_beta dc.Sap.Combine.beta in
-  let ell = Sap.Almost_uniform.ell_for_eps ~eps:dc.Sap.Combine.eps ~q in
-  [
-    ( "combine",
-      fun path ts -> Sap.Combine.solve ~config:{ dc with Sap.Combine.seed } path ts );
-    ( "small",
-      fun path ts ->
-        Sap.Small.strip_pack ~rounding:dc.Sap.Combine.rounding
-          ~prng:(Util.Prng.create seed) path ts );
-    ( "medium",
-      fun path ts ->
-        (Sap.Almost_uniform.run ~ell ~q ?max_states:dc.Sap.Combine.max_states path ts)
-          .Sap.Almost_uniform.solution );
-    ("large", fun path ts -> Sap.Large.solve path ts);
-    ("sapu", fun path ts -> Sap.Sap_u.solve path ts);
-    ("firstfit", fun path ts -> fst (Dsa.First_fit.pack path ts));
-    ("exact", fun path ts -> Exact.Sap_brute.solve path ts);
-  ]
-
-let algorithm_names = List.map fst (algorithms ~seed:0)
-
 let create ?(config = default_config) () =
   {
     config;
@@ -112,7 +83,7 @@ let create ?(config = default_config) () =
     latency =
       List.map
         (fun a -> (a, Obs.Metrics.histogram ("server.latency_seconds." ^ a)))
-        algorithm_names;
+        Sap.Solvers.names;
   }
 
 type pending = {
@@ -385,15 +356,19 @@ let finalize t tel pending =
   in
   { ready = pending.ready; force = (fun () -> record (pending.force ())) }
 
+(* Per-request parallelism stays off: the pool provides cross-request
+   parallelism, and nesting domain fan-outs inside worker domains would
+   oversubscribe the machine. *)
 let submit_solve t tel ~id (params : P.solve_params) path tasks =
-  match List.assoc_opt params.algorithm (algorithms ~seed:params.seed) with
+  match Sap.Solvers.find params.algorithm with
   | None ->
       ( tel,
         immediate
           (fail t ~id P.Unknown_algorithm
              (Printf.sprintf "unknown algorithm %S (have: %s)" params.algorithm
-                (String.concat ", " algorithm_names))) )
-  | Some solve -> (
+                (String.concat ", " Sap.Solvers.names))) )
+  | Some solver -> (
+      let solve = solver.Sap.Solvers.solve ~seed:params.seed ~parallel:false in
       let key =
         if params.cache then
           Some

@@ -19,16 +19,4 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     When tracing is on (and more than one domain actually spawns), each
     worker domain runs inside a [parallel.worker] root span tagged with
     its worker index, so per-domain activity renders as separate lanes in
-    the Chrome-trace export.
-
-    When a runner is installed ({!set_runner}), the fan-out executes on
-    the runner's persistent workers instead of freshly spawned domains;
-    results, ordering and exception semantics are unchanged ([jobs] then
-    only gates the [jobs = 1] sequential degeneration). *)
-
-val set_runner : ((unit -> unit) list -> unit) option -> unit
-(** Install (or clear) a batch executor for {!map}'s fan-out.  The runner
-    must run every thunk to completion before returning; thunks never
-    raise (map traps per-item exceptions itself).  [Server.Pool] installs
-    its persistent domain pool here so repeated maps stop paying
-    [Domain.spawn] per call. *)
+    the Chrome-trace export. *)

@@ -90,11 +90,28 @@ let solve_all_algorithms () =
         let inst = Filename.concat dir "inst.sap" in
         Alcotest.(check int) "gen" 0
           (run [ "gen"; "--edges"; "8"; "--tasks"; "12"; "-o"; inst ]);
+        (* The default profile is uniform, so [sapu] runs too. *)
         List.iter
           (fun a ->
             Alcotest.(check int) ("solve " ^ a) 0
               (run [ "solve"; "-i"; inst; "-a"; a; "-q" ]))
-          [ "combine"; "small"; "medium"; "large"; "firstfit"; "exact" ])
+          Sap.Solvers.names)
+
+(* [exact] is the budgeted branch and bound: past the brute-force
+   oracle's 16-task cap it still answers, with a checker-valid solution. *)
+let solve_exact_past_brute_cap () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        let inst = Filename.concat dir "inst.sap" in
+        let sol = Filename.concat dir "sol.sap" in
+        Alcotest.(check int) "gen" 0
+          (run
+             [ "gen"; "--profile"; "walk"; "--edges"; "12"; "--tasks"; "24";
+               "--seed"; "5"; "-o"; inst ]);
+        Alcotest.(check int) "solve -a exact" 0
+          (run [ "solve"; "-i"; inst; "-a"; "exact"; "-q"; "-o"; sol ]);
+        Alcotest.(check int) "check accepts" 0 (run [ "check"; "-i"; inst; "-s"; sol ]))
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -318,6 +335,45 @@ let unreadable_file_is_clean_error () =
 
 (* ---------- serve / batch over a Unix-domain socket ---------- *)
 
+let rec wait_for cond n what =
+  if cond () then ()
+  else if n = 0 then Alcotest.failf "timed out waiting for %s" what
+  else begin
+    Unix.sleepf 0.05;
+    wait_for cond (n - 1) what
+  end
+
+(* Run [f sock reap_nohang] against a `sap_cli serve` on DIR/srv.sock;
+   a server still running afterwards is killed. *)
+let with_serve dir f =
+  let sock = Filename.concat dir "srv.sock" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process cli [| cli; "serve"; "--socket"; sock; "-q" |] null null
+      null
+  in
+  Unix.close null;
+  let reaped = ref None in
+  let reap_nohang () =
+    match !reaped with
+    | Some _ as s -> s
+    | None -> (
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> None
+        | _, status ->
+            reaped := Some status;
+            !reaped)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if reap_nohang () = None then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end)
+    (fun () ->
+      wait_for (fun () -> Sys.file_exists sock) 200 "server socket";
+      f sock reap_nohang)
+
 let serve_batch_socket_smoke () =
   if not (Sys.file_exists cli) then Alcotest.skip ()
   else
@@ -331,40 +387,7 @@ let serve_batch_socket_smoke () =
                      string_of_int (100 + i); "-o"; f ]);
               f)
         in
-        let sock = Filename.concat dir "srv.sock" in
-        let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-        let pid =
-          Unix.create_process cli [| cli; "serve"; "--socket"; sock; "-q" |]
-            null null null
-        in
-        Unix.close null;
-        let reaped = ref None in
-        let reap_nohang () =
-          match !reaped with
-          | Some _ as s -> s
-          | None -> (
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> None
-              | _, status ->
-                  reaped := Some status;
-                  !reaped)
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            if reap_nohang () = None then begin
-              Unix.kill pid Sys.sigkill;
-              ignore (Unix.waitpid [] pid)
-            end)
-          (fun () ->
-            let rec wait_for cond n what =
-              if cond () then ()
-              else if n = 0 then Alcotest.failf "timed out waiting for %s" what
-              else begin
-                Unix.sleepf 0.05;
-                wait_for cond (n - 1) what
-              end
-            in
-            wait_for (fun () -> Sys.file_exists sock) 200 "server socket";
+        with_serve dir (fun sock reap_nohang ->
             let out = Filename.concat dir "batch.txt" in
             Alcotest.(check int) "batch" 0
               (run_out ~out
@@ -384,15 +407,39 @@ let serve_batch_socket_smoke () =
             (* --shutdown was acked, so the server must exit cleanly. *)
             wait_for (fun () -> reap_nohang () <> None) 200 "server exit";
             Alcotest.(check bool) "server exited 0" true
-              (!reaped = Some (Unix.WEXITED 0))))
+              (reap_nohang () = Some (Unix.WEXITED 0))))
+
+(* `batch --stats` with no instance files is a stats probe: its stdout
+   (and stderr) is exactly the server's stats JSON. *)
+let batch_stats_probe () =
+  if not (Sys.file_exists cli) then Alcotest.skip ()
+  else
+    with_tmp (fun dir ->
+        with_serve dir (fun sock _ ->
+            let out = Filename.concat dir "stats.json" in
+            Alcotest.(check int) "batch --stats" 0
+              (run_out ~out [ "batch"; "--socket"; sock; "--stats" ]);
+            match Obs.Json.of_string (Sap_io.Instance_io.read_file out) with
+            | Ok (Obs.Json.Obj fields) ->
+                Alcotest.(check bool) "server stats schema" true
+                  (List.assoc_opt "schema" fields
+                  = Some (Obs.Json.String "sap-server-stats v2"))
+            | Ok _ -> Alcotest.fail "stats is not an object"
+            | Error m -> Alcotest.failf "output is not only the stats JSON: %s" m))
 
 let unknown_algorithm_fails () =
   if not (Sys.file_exists cli) then Alcotest.skip ()
   else
     with_tmp (fun dir ->
         let inst = Filename.concat dir "inst.sap" in
+        let out = Filename.concat dir "err.txt" in
         Alcotest.(check int) "gen" 0 (run [ "gen"; "-o"; inst ]);
-        Alcotest.(check int) "bad algo" 2 (run [ "solve"; "-i"; inst; "-a"; "nonsense" ]))
+        Alcotest.(check int) "bad algo" 2
+          (run_out ~out [ "solve"; "-i"; inst; "-a"; "nope" ]);
+        Alcotest.(check string) "lists the registry"
+          (Printf.sprintf "error: unknown algorithm \"nope\" (have: %s)\n"
+             (String.concat ", " Sap.Solvers.names))
+          (Sap_io.Instance_io.read_file out))
 
 let () =
   Alcotest.run "cli"
@@ -402,13 +449,18 @@ let () =
           case "gen/solve/check/show" gen_solve_check_roundtrip;
           case "check rejects corrupted" check_rejects_corrupted;
           case "all algorithms" solve_all_algorithms;
+          case "exact past the brute cap" solve_exact_past_brute_cap;
           case "stats json" solve_emits_stats_json;
           case "unknown algorithm" unknown_algorithm_fails;
           case "solve --audit" solve_audit_output;
           case "solve --trace-chrome" solve_trace_chrome;
           case "unreadable file" unreadable_file_is_clean_error;
         ] );
-      ("server", [ case "serve/batch socket smoke" serve_batch_socket_smoke ]);
+      ( "server",
+        [
+          case "serve/batch socket smoke" serve_batch_socket_smoke;
+          case "batch --stats probe" batch_stats_probe;
+        ] );
       ( "bench-diff",
         [
           case "exit codes" bench_diff_exit_codes;

@@ -109,6 +109,52 @@ let combine_beats_every_part_alone =
       && w r.Sap.Combine.solution >= w r.Sap.Combine.medium_solution -. 1e-9
       && w r.Sap.Combine.solution >= w r.Sap.Combine.large_solution -. 1e-9)
 
+(* ---------- the algorithm registry ---------- *)
+
+(* Uniform capacities, so [sapu] is in scope too. *)
+let uniform_instance seed =
+  let prng = Util.Prng.create seed in
+  let path =
+    Gen.Profiles.uniform
+      ~edges:(Util.Prng.int_in prng 3 8)
+      ~capacity:(Util.Prng.int_in prng 4 20)
+  in
+  let n = Util.Prng.int_in prng 2 10 in
+  (path, Gen.Workloads.mixed_tasks ~prng ~path ~n ())
+
+let registry_feasible =
+  Helpers.seed_property ~count:20 "every entry feasible on uniform instances"
+    (fun seed ->
+      let path, tasks = uniform_instance seed in
+      List.for_all
+        (fun s ->
+          let sol = s.Sap.Solvers.solve ~seed ~parallel:false path tasks in
+          Result.is_ok (Core.Checker.sap_feasible path sol)
+          && Core.Checker.subset_of (Core.Solution.sap_tasks sol) tasks)
+        Sap.Solvers.all)
+
+let registry_deterministic =
+  Helpers.seed_property ~count:10 "same seed, same solution; parallel too"
+    (fun seed ->
+      let path, tasks = uniform_instance seed in
+      List.for_all
+        (fun s ->
+          let run parallel = s.Sap.Solvers.solve ~seed ~parallel path tasks in
+          let first = run false in
+          run false = first && run true = first)
+        Sap.Solvers.all)
+
+let registry_names () =
+  let names = Sap.Solvers.names in
+  Alcotest.(check int) "no duplicates" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun name ->
+      match Sap.Solvers.find name with
+      | Some s -> Alcotest.(check string) "find by name" name s.Sap.Solvers.name
+      | None -> Alcotest.failf "%s not found" name)
+    names
+
 let () =
   Alcotest.run "combine"
     [
@@ -124,5 +170,11 @@ let () =
           case "drops unfit" combine_drops_unfit;
           case "deterministic" combine_deterministic;
           combine_parallel_equals_sequential;
+        ] );
+      ( "registry",
+        [
+          registry_feasible;
+          registry_deterministic;
+          case "names unique" registry_names;
         ] );
     ]

@@ -12,24 +12,20 @@ let case = Helpers.case
 let bb_matches_brute =
   Helpers.seed_property ~count:80 "Exact_bb value = Sap_brute value" (fun seed ->
       let path, tasks = Helpers.tiny_instance ~max_tasks:10 seed in
-      let out = Lab.Exact_bb.solve path tasks in
-      if not out.Lab.Exact_bb.optimal then
+      let out = Exact.Exact_bb.solve path tasks in
+      if not out.Exact.Exact_bb.optimal then
         QCheck.Test.fail_report "tiny instance exhausted the node budget";
-      Helpers.assert_feasible_sap path out.Lab.Exact_bb.solution;
-      Helpers.close_enough out.Lab.Exact_bb.value (Exact.Sap_brute.value path tasks))
+      Helpers.assert_feasible_sap path out.Exact.Exact_bb.solution;
+      Helpers.close_enough out.Exact.Exact_bb.value (Exact.Sap_brute.value path tasks))
 
 let bb_matches_brute_pooled =
   Helpers.seed_property ~count:20 "pooled Exact_bb value = Sap_brute value"
     (fun seed ->
       let path, tasks = Helpers.tiny_instance ~max_tasks:10 seed in
-      let pool = Sap_server.Pool.create ~workers:3 () in
-      Fun.protect
-        ~finally:(fun () -> Sap_server.Pool.shutdown pool)
-        (fun () ->
-          let out = Lab.Exact_bb.solve ~pool path tasks in
-          Helpers.assert_feasible_sap path out.Lab.Exact_bb.solution;
-          Helpers.close_enough out.Lab.Exact_bb.value
-            (Exact.Sap_brute.value path tasks)))
+      let out = Exact.Exact_bb.solve ~jobs:3 path tasks in
+      Helpers.assert_feasible_sap path out.Exact.Exact_bb.solution;
+      Helpers.close_enough out.Exact.Exact_bb.value
+        (Exact.Sap_brute.value path tasks))
 
 let bb_ring_matches_brute =
   Helpers.seed_property ~count:40 "Exact_bb.solve_ring value = Ring_brute value"
@@ -41,19 +37,19 @@ let bb_ring_matches_brute =
           ~n:(2 + (seed mod 4))
           ~cap_lo:4 ~cap_hi:12 ~ratio_lo:0.0 ~ratio_hi:0.9
       in
-      let out = Lab.Exact_bb.solve_ring r in
+      let out = Exact.Exact_bb.solve_ring r in
       Helpers.check_ok "bb ring solution feasible"
-        (Ring.feasible r out.Lab.Exact_bb.ring_solution);
-      Helpers.close_enough out.Lab.Exact_bb.ring_value
+        (Ring.feasible r out.Exact.Exact_bb.ring_solution);
+      Helpers.close_enough out.Exact.Exact_bb.ring_value
         (Exact.Ring_brute.value r))
 
 let bb_budget_reports_nonoptimal () =
   let path, tasks = Helpers.tiny_instance ~max_tasks:10 3 in
-  let out = Lab.Exact_bb.solve ~max_nodes:2 path tasks in
-  Alcotest.(check bool) "budget exhausted" false out.Lab.Exact_bb.optimal;
+  let out = Exact.Exact_bb.solve ~max_nodes:2 path tasks in
+  Alcotest.(check bool) "budget exhausted" false out.Exact.Exact_bb.optimal;
   Alcotest.(check bool) "upper bound above incumbent" true
-    (out.Lab.Exact_bb.upper_bound >= out.Lab.Exact_bb.value -. 1e-9);
-  Helpers.assert_feasible_sap path out.Lab.Exact_bb.solution
+    (out.Exact.Exact_bb.upper_bound >= out.Exact.Exact_bb.value -. 1e-9);
+  Helpers.assert_feasible_sap path out.Exact.Exact_bb.solution
 
 (* A tiny palette of footprints and weights, so exact-duplicate and
    near-duplicate tasks abound — the regime where the symmetry cut and
@@ -75,13 +71,13 @@ let bb_brute_palette_sweep () =
           let weight = [| 2.0; 3.0; 5.0 |].(Util.Prng.int prng 3) in
           Task.make ~id ~first_edge ~last_edge ~demand ~weight)
     in
-    let bb = Lab.Exact_bb.solve path tasks in
-    if not bb.Lab.Exact_bb.optimal then
+    let bb = Exact.Exact_bb.solve path tasks in
+    if not bb.Exact.Exact_bb.optimal then
       Alcotest.failf "seed %d: palette instance exhausted the node budget" seed;
     let brute = Exact.Sap_brute.value path tasks in
-    if Float.abs (bb.Lab.Exact_bb.value -. brute) > 1e-6 then
+    if Float.abs (bb.Exact.Exact_bb.value -. brute) > 1e-6 then
       Alcotest.failf "seed %d: bb %.6f <> brute %.6f" seed
-        bb.Lab.Exact_bb.value brute
+        bb.Exact.Exact_bb.value brute
   done
 
 (* ---------- oracle guards ---------- *)
@@ -99,7 +95,7 @@ let brute_guard_trips () =
     (Invalid_argument
        (Printf.sprintf
           "Exact.Sap_brute.solve: %d tasks exceed the exhaustive-search cap \
-           of %d (use Lab.Exact_bb for larger instances)"
+           of %d (use Exact.Exact_bb for larger instances)"
           (Exact.Sap_brute.task_cap + 1)
           Exact.Sap_brute.task_cap))
     (fun () -> ignore (Exact.Sap_brute.solve path tasks))
@@ -116,7 +112,7 @@ let ring_guard_trips () =
     (Invalid_argument
        (Printf.sprintf
           "Exact.Ring_brute.solve: %d tasks exceed the exhaustive-search cap \
-           of %d (use Lab.Exact_bb.solve_ring for larger instances)"
+           of %d (use Exact.Exact_bb.solve_ring for larger instances)"
           n Exact.Ring_brute.task_cap))
     (fun () -> ignore (Exact.Ring_brute.solve r))
 
@@ -141,11 +137,11 @@ let bb_solves_beyond_brute () =
      ignore (Exact.Sap_brute.solve path tasks);
      Alcotest.fail "Sap_brute accepted 40 tasks"
    with Invalid_argument _ -> ());
-  let out = Lab.Exact_bb.solve path tasks in
-  Alcotest.(check bool) "optimal at 40 tasks" true out.Lab.Exact_bb.optimal;
-  Helpers.assert_feasible_sap path out.Lab.Exact_bb.solution;
+  let out = Exact.Exact_bb.solve path tasks in
+  Alcotest.(check bool) "optimal at 40 tasks" true out.Exact.Exact_bb.optimal;
+  Helpers.assert_feasible_sap path out.Exact.Exact_bb.solution;
   Alcotest.(check bool) "value matches its certificate" true
-    (Helpers.close_enough out.Lab.Exact_bb.value out.Lab.Exact_bb.upper_bound)
+    (Helpers.close_enough out.Exact.Exact_bb.value out.Exact.Exact_bb.upper_bound)
 
 (* ---------- corpus ---------- *)
 
@@ -361,7 +357,7 @@ let audit_records_bound_kind () =
   let lp_audit = Sap.Combine.audit path tasks r in
   Alcotest.(check bool) "default is lp" true
     (lp_audit.Sap.Combine.bound_kind = Sap.Combine.Lp_bound);
-  let opt = Lab.Exact_bb.value path tasks in
+  let opt = Exact.Exact_bb.value path tasks in
   let exact_audit = Sap.Combine.audit ~exact_optimum:opt path tasks r in
   Alcotest.(check bool) "exact_optimum tags Exact_bound" true
     (exact_audit.Sap.Combine.bound_kind = Sap.Combine.Exact_bound);
@@ -381,6 +377,20 @@ let audit_records_bound_kind () =
 (* LP-bounded rows must stay out of the summary aggregates: a ratio
    measured against an over-estimate of OPT proves nothing, so it must
    neither feed max/mean nor rank an instance "worst". *)
+(* The instantiated bounds, read off the registry, and their order are
+   the sap-ratio report's contract. *)
+let ratio_bounds_pinned () =
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "instantiated bounds"
+    [
+      ("small", 4.5);
+      ("medium", 2.5);
+      ("large", 3.0);
+      ("combine", 10.0);
+      ("ring", 11.1);
+    ]
+    Lab.Ratio.bounds
+
 let ratio_summary_excludes_lp_rows () =
   with_tmp_dir (fun dir ->
       let t = Lab.Corpus.generate ~dir ~seed:3 ~variants:1 () in
@@ -531,15 +541,11 @@ let hunt_deterministic () =
     (Obs.Json.to_string (Lab.Hunt.report_json r2))
 
 let hunt_pool_matches_sequential () =
-  let pool = Sap_server.Pool.create ~workers:3 () in
-  Fun.protect
-    ~finally:(fun () -> Sap_server.Pool.shutdown pool)
-    (fun () ->
-      let seq = Lab.Hunt.run small_hunt_config in
-      let par = Lab.Hunt.run ~pool small_hunt_config in
-      Alcotest.(check string) "pooled = sequential"
-        (Obs.Json.to_string (Lab.Hunt.report_json seq))
-        (Obs.Json.to_string (Lab.Hunt.report_json par)))
+  let seq = Lab.Hunt.run small_hunt_config in
+  let par = Lab.Hunt.run ~jobs:3 small_hunt_config in
+  Alcotest.(check string) "pooled = sequential"
+    (Obs.Json.to_string (Lab.Hunt.report_json seq))
+    (Obs.Json.to_string (Lab.Hunt.report_json par))
 
 let hunt_hof_certified_and_monotone () =
   let report = Lab.Hunt.run { small_hunt_config with Lab.Hunt.alg = "small" } in
@@ -808,6 +814,7 @@ let run () =
           case "sap-ratio v1 schema" ratio_json_schema;
           case "per-family breakdown" ratio_family_breakdown;
           case "summary excludes lp rows" ratio_summary_excludes_lp_rows;
+          case "bounds pinned" ratio_bounds_pinned;
         ] );
       ( "audit",
         [ case "bound_kind recorded" audit_records_bound_kind ] );

@@ -116,21 +116,15 @@ let cache_zero_capacity () =
 
 (* ---------- pool ---------- *)
 
-let pool_map_matches_list_map () =
-  let p = Pool.create ~workers:3 ~queue_capacity:4 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let xs = List.init 37 Fun.id in
-  Alcotest.(check (list int)) "squares" (List.map (fun x -> x * x) xs)
-    (Pool.map p (fun x -> x * x) xs);
-  (* The pool is persistent: a second map reuses the same workers. *)
-  Alcotest.(check (list int)) "reuse" (List.map succ xs) (Pool.map p succ xs)
-
 let pool_exception_propagates () =
   let p = Pool.create ~workers:2 ~queue_capacity:2 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  match Pool.map p (fun x -> if x = 3 then failwith "boom3" else x) (List.init 6 Fun.id) with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure m -> Alcotest.(check string) "first failure" "boom3" m
+  let fut = Pool.submit p (fun () -> failwith "boom3") in
+  (match Pool.await fut with
+  | () -> Alcotest.fail "expected failure"
+  | exception Failure m -> Alcotest.(check string) "job failure re-raised" "boom3" m);
+  (* A failed job does not take its worker down. *)
+  Alcotest.(check int) "pool still serves" 42 (Pool.await (Pool.submit p (fun () -> 42)))
 
 let pool_drain_loses_nothing () =
   (* Graceful shutdown under load: 4 producer domains race 40 jobs through
@@ -177,32 +171,6 @@ let pool_await_until_deadline () =
   in
   Alcotest.(check (option int)) "deadline first" None early;
   Alcotest.(check int) "job still completes" 42 (Pool.await fut)
-
-let pool_as_parallel_runner () =
-  let p = Pool.create ~workers:3 ~queue_capacity:8 () in
-  Pool.install_parallel_runner p;
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let xs = List.init 25 Fun.id in
-  Alcotest.(check (list int)) "map via pool" (List.map (fun x -> 3 * x) xs)
-    (Util.Parallel.map (fun x -> 3 * x) xs);
-  (match Util.Parallel.map (fun x -> if x = 2 then failwith "pe" else x) xs with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure m -> Alcotest.(check string) "error via pool" "pe" m);
-  (* Re-entrant fan-out from inside a worker degrades to inline execution
-     instead of deadlocking on the pool's own capacity. *)
-  let nested =
-    Pool.await
-      (Pool.submit p (fun () -> Util.Parallel.map succ (List.init 30 Fun.id)))
-  in
-  Alcotest.(check (list int)) "nested map" (List.init 30 succ) nested
-
-let parallel_runner_uninstalled_on_shutdown () =
-  let p = Pool.create ~workers:2 ~queue_capacity:2 () in
-  Pool.install_parallel_runner p;
-  Pool.shutdown p;
-  (* The spawn-per-call path must be back, or this would raise Closed. *)
-  Alcotest.(check (list int)) "fallback works" [ 2; 3; 4 ]
-    (Util.Parallel.map succ [ 1; 2; 3 ])
 
 (* ---------- protocol ---------- *)
 
@@ -459,7 +427,12 @@ let e2e_error_responses () =
             tasks;
           })
    with
-  | Proto.Failed { code = Proto.Unknown_algorithm; _ } -> ()
+  | Proto.Failed { code = Proto.Unknown_algorithm; message; _ } ->
+      (* The error lists exactly the registry. *)
+      Alcotest.(check string) "names the registry"
+        (Printf.sprintf "unknown algorithm %S (have: %s)" "nonsense"
+           (String.concat ", " Sap.Solvers.names))
+        message
   | _ -> Alcotest.fail "expected unknown-algorithm");
   (* A zero deadline can never be met: the clean timeout response. *)
   match
@@ -474,6 +447,38 @@ let e2e_error_responses () =
   with
   | Proto.Timed_out { id = 1 } -> ()
   | _ -> Alcotest.fail "expected timeout"
+
+(* [exact] is the budgeted branch and bound, so it answers past the
+   brute-force oracle's 16-task cap instead of failing [internal].  The
+   instance is `sap_cli gen --profile walk --edges 12 --tasks 24 --seed 5`. *)
+let e2e_exact_past_brute_cap () =
+  let srv = Server.create ~config:{ Server.default_config with Server.workers = Some 1 } () in
+  Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
+  let prng = Util.Prng.create 5 in
+  let path =
+    Gen.Profiles.random_walk ~prng ~edges:12 ~start:32 ~max_step:4 ~min_cap:8
+  in
+  let tasks = Gen.Workloads.mixed_tasks ~prng ~path ~n:24 () in
+  Alcotest.(check bool) "past the brute cap" true
+    (List.length tasks > Exact.Sap_brute.task_cap);
+  match
+    Server.handle srv
+      (Proto.Solve
+         {
+           id = 0;
+           params = { default_params with Proto.algorithm = "exact" };
+           path;
+           tasks;
+         })
+  with
+  | Proto.Solved { solution; summary; _ } ->
+      Helpers.assert_feasible_sap path solution;
+      let bb = Exact.Exact_bb.solve path tasks in
+      Alcotest.(check bool) "search closed" true bb.Exact.Exact_bb.optimal;
+      Alcotest.(check (float 1e-6)) "optimal weight" bb.Exact.Exact_bb.value
+        summary.Proto.weight
+  | Proto.Failed { message; _ } -> Alcotest.failf "exact failed: %s" message
+  | _ -> Alcotest.fail "expected solved"
 
 let e2e_round_solve () =
   let srv =
@@ -900,13 +905,10 @@ let () =
         ] );
       ( "pool",
         [
-          case "map matches List.map" pool_map_matches_list_map;
           case "exceptions propagate" pool_exception_propagates;
           case "drain loses nothing" pool_drain_loses_nothing;
           case "closed after shutdown" pool_rejects_after_shutdown;
           case "await_until deadline" pool_await_until_deadline;
-          case "parallel runner" pool_as_parallel_runner;
-          case "runner uninstalled" parallel_runner_uninstalled_on_shutdown;
         ] );
       ( "protocol",
         [
@@ -918,6 +920,7 @@ let () =
         [
           case "concurrent solves + cache hits" e2e_concurrent_solves_and_cache;
           case "error + timeout responses" e2e_error_responses;
+          case "exact past the brute cap" e2e_exact_past_brute_cap;
           case "round-solve lifecycle + cache separation" e2e_round_solve;
           case "graceful drain under load" e2e_shutdown_under_load;
         ] );
