@@ -49,7 +49,7 @@ let run_pass srv insts =
   let hits = ref 0 in
   List.iteri
     (fun i p ->
-      match p.Server.force () with
+      match p () with
       | P.Solved { summary; solution; _ } ->
           let path, _ = List.nth insts i in
           (match Core.Checker.sap_feasible path solution with

@@ -133,41 +133,28 @@ let summarize cfg ~t0 ~sched ~send_t ~done_t ~status ~protocol_errors
 (* One extra connection mid-run: send a [stats] frame, keep the parsed
    snapshot.  Proves the live scrape works while solves are in flight. *)
 let scrape connect errs errs_lock =
-  match connect () with
+  let result =
+    match connect () with
+    | Error m -> Error m
+    | Ok fd -> (
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        @@ fun () ->
+        match
+          Sap_server.Client.request ~ic:(Unix.in_channel_of_descr fd)
+            ~oc:(Unix.out_channel_of_descr fd) ~tasks_for:(fun _ -> None)
+            (P.Stats { id = 0 })
+        with
+        | Ok (P.Stats_reply { stats; _ }) -> Ok stats
+        | Ok _ -> Error "unexpected response"
+        | Error m -> Error m
+        | exception Sys_error m -> Error m)
+  in
+  match result with
+  | Ok stats -> Some stats
   | Error m ->
-      Mutex.lock errs_lock;
-      errs := ("stats scrape: " ^ m) :: !errs;
-      Mutex.unlock errs_lock;
+      Mutex.protect errs_lock (fun () -> errs := ("stats scrape: " ^ m) :: !errs);
       None
-  | Ok fd ->
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let result =
-        try
-          output_string oc (P.request_to_string (P.Stats { id = 0 }));
-          flush oc;
-          (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-           with Unix.Unix_error _ -> ());
-          let read_line () =
-            try Some (input_line ic) with End_of_file -> None
-          in
-          match P.read_frame ~read_line with
-          | None -> Error "stats scrape: connection closed before reply"
-          | Some lines -> (
-              match P.response_of_lines ~tasks_for:(fun _ -> None) lines with
-              | Ok (P.Stats_reply { stats; _ }) -> Ok stats
-              | Ok _ -> Error "stats scrape: unexpected response"
-              | Error m -> Error ("stats scrape: " ^ m))
-        with Sys_error m -> Error ("stats scrape: " ^ m)
-      in
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (match result with
-      | Ok stats -> Some stats
-      | Error m ->
-          Mutex.lock errs_lock;
-          errs := m :: !errs;
-          Mutex.unlock errs_lock;
-          None)
 
 let run ~connect cfg =
   match validate cfg with

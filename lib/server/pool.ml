@@ -119,12 +119,6 @@ let submit t f =
   bump ();
   fut
 
-let completed fut =
-  Mutex.lock fut.fm;
-  let r = fut.st <> Pending in
-  Mutex.unlock fut.fm;
-  r
-
 let await fut =
   Mutex.lock fut.fm;
   let rec wait () =

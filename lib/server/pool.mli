@@ -36,9 +36,6 @@ val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a job; blocks while the queue is at capacity.
     @raise Closed once {!shutdown} has begun. *)
 
-val completed : 'a future -> bool
-(** Non-blocking: has the job finished (successfully or not)? *)
-
 val await : 'a future -> 'a
 (** Block until the job finishes; re-raises its exception on failure. *)
 

@@ -102,15 +102,6 @@ let request_id = function
   | Session_close { id; _ } ->
       id
 
-let request_session = function
-  | Session_add { session; _ }
-  | Session_remove { session; _ }
-  | Session_resolve { session; _ }
-  | Session_close { session; _ } ->
-      Some session
-  | Solve _ | Round_solve _ | Stats _ | Ping _ | Shutdown _ | Session_open _ ->
-      None
-
 let response_id = function
   | Solved { id; _ }
   | Round_solved { id; _ }

@@ -136,10 +136,6 @@ type response =
 
 val request_id : request -> int
 
-val request_session : request -> int option
-(** The session a follow-up verb addresses ([None] for [session-open]
-    and the stateless verbs) — what a router keys shard pinning on. *)
-
 val response_id : response -> int
 
 val session_event_to_string : session_event -> string

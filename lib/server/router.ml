@@ -136,16 +136,24 @@ type entry = {
   e_slot : slot;
   e_client_id : int;
   e_t0 : float;
-  e_solve : bool;
-      (** solves are pure: re-home on shard death.  Direct sends (stats,
-          shutdown) and session verbs fail instead — retrying them
-          elsewhere would answer a different question (session state is
-          not re-homeable). *)
-  e_open : bool;
-      (** a [session-open]: the reader parses the reply's [session=]
-          attribute and pins the new sid to the answering shard *)
   mutable e_attempts : int;
 }
+
+let entry ?(key = "") req sl =
+  {
+    e_key = key;
+    e_req = req;
+    e_slot = sl;
+    e_client_id = P.request_id req;
+    e_t0 = now ();
+    e_attempts = 0;
+  }
+
+(* Solves are pure: re-home them on shard death.  Direct sends (stats,
+   shutdown) and session verbs fail instead — retrying them elsewhere
+   would answer a different question (session state is not
+   re-homeable). *)
+let is_solve e = match e.e_req with P.Solve _ | P.Round_solve _ -> true | _ -> false
 
 type state = Up | Down | Draining | Drained
 
@@ -320,7 +328,38 @@ let sleep_interruptible t d =
     Unix.sleepf (Float.min 0.05 (Float.max 0.001 (deadline -. now ())))
   done
 
-(* ---------- dispatch, death, recovery ---------- *)
+(* ---------- sending, dispatch, death, recovery ---------- *)
+
+(* The one way a request reaches a shard: register [entry] in the
+   shard's in-flight table under a fresh router-wide id and write the
+   request with that id.  Forwards (a ring [e_key]) need the shard Up and
+   count in its [requests]; direct sends are also allowed while it is
+   Draining — [drain_shard] marks it so before sending the shutdown
+   frame.  [None]: the shard is not in a state to take it; [Some false]:
+   the write failed, the entry is unregistered and the connection
+   killed. *)
+let send t sh entry =
+  let forwarded = entry.e_key <> "" in
+  Mutex.lock sh.sh_lock;
+  match (sh.sh_state, sh.sh_conn) with
+  | (Up | Draining), Some conn when sh.sh_state = Up || not forwarded ->
+      let sid = Atomic.fetch_and_add t.seq 1 in
+      Hashtbl.replace sh.sh_inflight sid entry;
+      let wrote =
+        try
+          output_string conn.cn_oc (P.request_to_string (with_id entry.e_req sid));
+          flush conn.cn_oc;
+          true
+        with Sys_error _ -> false
+      in
+      if not wrote then Hashtbl.remove sh.sh_inflight sid
+      else if forwarded then sh.sh_requests <- sh.sh_requests + 1;
+      Mutex.unlock sh.sh_lock;
+      if not wrote then kill_conn conn;
+      Some wrote
+  | _ ->
+      Mutex.unlock sh.sh_lock;
+      None
 
 let rec dispatch t entry =
   entry.e_attempts <- entry.e_attempts + 1;
@@ -338,40 +377,19 @@ let rec dispatch t entry =
     | Some name -> (
         match shard_by_name t name with
         | None -> fail_entry t entry P.Internal ("router: unknown shard " ^ name)
-        | Some sh -> forward t sh entry)
+        | Some sh -> (
+            match send t sh entry with
+            | Some true -> ()
+            | Some false ->
+                Obs.Metrics.incr c_retries;
+                Atomic.incr t.n_retried;
+                dispatch t entry
+            | None ->
+                (* Raced with a death or drain; make sure the ring agrees,
+                   pick again.  [e_attempts] bounds the loop. *)
+                remove_from_ring t sh.sh_name;
+                dispatch t entry))
   end
-
-and forward t sh entry =
-  Mutex.lock sh.sh_lock;
-  match (sh.sh_state, sh.sh_conn) with
-  | Up, Some conn ->
-      let sid = Atomic.fetch_and_add t.seq 1 in
-      Hashtbl.replace sh.sh_inflight sid entry;
-      sh.sh_requests <- sh.sh_requests + 1;
-      let text = P.request_to_string (with_id entry.e_req sid) in
-      let wrote =
-        try
-          output_string conn.cn_oc text;
-          flush conn.cn_oc;
-          true
-        with Sys_error _ -> false
-      in
-      if wrote then Mutex.unlock sh.sh_lock
-      else begin
-        Hashtbl.remove sh.sh_inflight sid;
-        sh.sh_requests <- sh.sh_requests - 1;
-        Mutex.unlock sh.sh_lock;
-        kill_conn conn;
-        Obs.Metrics.incr c_retries;
-        Atomic.incr t.n_retried;
-        dispatch t entry
-      end
-  | _ ->
-      Mutex.unlock sh.sh_lock;
-      (* Raced with a death or drain; make sure the ring agrees, pick
-         again.  [e_attempts] bounds the loop. *)
-      remove_from_ring t sh.sh_name;
-      dispatch t entry
 
 (* Runs exactly once per connection, as the final act of its reader
    domain: clear the shard, re-home orphaned solves, start recovery. *)
@@ -403,7 +421,7 @@ and conn_dead t sh conn =
          sh.sh_name (List.length orphans));
     List.iter
       (fun e ->
-        if e.e_solve then begin
+        if is_solve e then begin
           Obs.Metrics.incr c_retries;
           Atomic.incr t.n_retried;
           dispatch t e
@@ -519,7 +537,10 @@ and reader_loop t sh conn fd =
                 | Some (status, header') ->
                     (* A successful session-open names the new session;
                        pin it to this shard for follow-up verbs. *)
-                    if e.e_open && String.equal status "session" then begin
+                    let opens =
+                      match e.e_req with P.Session_open _ -> true | _ -> false
+                    in
+                    if opens && String.equal status "session" then begin
                       match
                         Option.bind (header_attr header' "session")
                           int_of_string_opt
@@ -529,7 +550,7 @@ and reader_loop t sh conn fd =
                               Hashtbl.replace t.sess_owners new_sid sh.sh_name)
                       | None -> ()
                     end;
-                    if e.e_solve then begin
+                    if is_solve e then begin
                       let dt = now () -. e.e_t0 in
                       Mutex.lock sh.sh_lock;
                       sh.sh_latency <-
@@ -549,40 +570,8 @@ and reader_loop t sh conn fd =
   conn_dead t sh conn
 
 (* Send [req] straight to one shard (bypassing the ring) and complete
-   [sl] with its answer.  Allowed while Up or Draining — [drain_shard]
-   marks the shard Draining before sending it the shutdown frame. *)
-let send_direct t sh req sl =
-  Mutex.lock sh.sh_lock;
-  match (sh.sh_state, sh.sh_conn) with
-  | (Up | Draining), Some conn ->
-      let sid = Atomic.fetch_and_add t.seq 1 in
-      let entry =
-        {
-          e_key = "";
-          e_req = req;
-          e_slot = sl;
-          e_client_id = P.request_id req;
-          e_t0 = now ();
-          e_solve = false;
-          e_open = false;
-          e_attempts = 0;
-        }
-      in
-      Hashtbl.replace sh.sh_inflight sid entry;
-      let wrote =
-        try
-          output_string conn.cn_oc (P.request_to_string (with_id req sid));
-          flush conn.cn_oc;
-          true
-        with Sys_error _ -> false
-      in
-      if not wrote then Hashtbl.remove sh.sh_inflight sid;
-      Mutex.unlock sh.sh_lock;
-      if not wrote then kill_conn conn;
-      wrote
-  | _ ->
-      Mutex.unlock sh.sh_lock;
-      false
+   [sl] with its answer. *)
+let send_direct t sh req sl = send t sh (entry req sl) = Some true
 
 (* ---------- lifecycle ---------- *)
 
@@ -838,173 +827,72 @@ let draining t = Atomic.get t.stopping
 
 (* ---------- client sessions ---------- *)
 
-
-(* Responses drain on a per-connection {!Pump.t}, written the moment
-   they (and everything queued before them) are ready — see
-   {!Transport.serve_channels} for why flushing from the read loop
-   instead would strand the tail of a quiet connection. *)
+(* The router's handler on {!Transport.serve_frames}, which owns the
+   frame loop, the bad-frame reply and the response pump. *)
 let handle_session t ic oc =
   Obs.Metrics.incr c_connections;
-  let pump = Pump.create () in
-  let push_text force =
-    Pump.push pump (fun () ->
-        output_string oc (force ());
-        flush oc)
+  Transport.serve_frames ic oc @@ fun req ->
+  Obs.Metrics.incr c_requests;
+  Atomic.incr t.n_requests;
+  let id = P.request_id req in
+  let reply resp () = P.response_to_string resp in
+  (* [solve] and [round-solve] hash on their cache fingerprint, so a
+     repeat lands on the shard whose LRU already holds it (the problem
+     kind in the key keeps the two verbs' populations disjoint there
+     too); [session-open] hashes its base instance like a solve would,
+     and the session lives on (is pinned to) the owning shard. *)
+  let forward ~problem ~algorithm ~seed path tasks =
+    if Atomic.get t.stopping then
+      reply (P.Failed { id; code = P.Shutting_down; message = "router draining" })
+    else begin
+      let key = Fingerprint.solve_key ~problem ~algorithm ~seed path tasks in
+      let sl = slot () in
+      Obs.Metrics.incr c_forwarded;
+      dispatch t (entry ~key req sl);
+      fun () -> await sl
+    end
   in
-  let immediate resp = push_text (fun () -> P.response_to_string resp) in
-  let read_line () = try Some (input_line ic) with End_of_file -> None in
-  let rec loop () =
-    match P.read_frame ~read_line with
-    | None -> ()
-    | Some lines -> (
-        match P.request_of_lines lines with
-        | Error m ->
-            immediate (P.Failed { id = -1; code = P.Bad_request; message = m });
-            loop ()
-        | Ok req ->
-            Obs.Metrics.incr c_requests;
-            Atomic.incr t.n_requests;
+  match req with
+  | P.Solve { params; path; tasks; _ } ->
+      forward ~problem:"sap" ~algorithm:params.P.algorithm ~seed:params.P.seed
+        path tasks
+  | P.Round_solve { algorithm; path; tasks; _ } ->
+      forward ~problem:"round" ~algorithm ~seed:0 path tasks
+  | P.Session_open { seed; path; tasks; _ } ->
+      forward ~problem:"sap" ~algorithm:"session-open" ~seed path tasks
+  | P.Session_add { session = sid; _ }
+  | P.Session_remove { session = sid; _ }
+  | P.Session_resolve { session = sid; _ }
+  | P.Session_close { session = sid; _ } -> (
+      let owner =
+        Mutex.protect t.sess_lock (fun () -> Hashtbl.find_opt t.sess_owners sid)
+      in
+      let unknown message =
+        reply (P.Failed { id; code = P.Unknown_session; message })
+      in
+      match Option.bind owner (shard_by_name t) with
+      | None -> unknown (Printf.sprintf "router: unknown session %d" sid)
+      | Some sh ->
+          let sl = slot () in
+          if send_direct t sh req sl then fun () ->
+            let text = await sl in
             (match req with
-            | P.Solve { id; params; path; tasks } ->
-                if Atomic.get t.stopping then
-                  immediate
-                    (P.Failed
-                       { id; code = P.Shutting_down; message = "router draining" })
-                else begin
-                  let key =
-                    Fingerprint.solve_key ~problem:"sap"
-                      ~algorithm:params.P.algorithm ~seed:params.P.seed path
-                      tasks
-                  in
-                  let sl = slot () in
-                  let entry =
-                    {
-                      e_key = key;
-                      e_req = req;
-                      e_slot = sl;
-                      e_client_id = id;
-                      e_t0 = now ();
-                      e_solve = true;
-                      e_open = false;
-                      e_attempts = 0;
-                    }
-                  in
-                  Obs.Metrics.incr c_forwarded;
-                  dispatch t entry;
-                  push_text (fun () -> await sl)
-                end
-            | P.Round_solve { id; algorithm; path; tasks; _ } ->
-                if Atomic.get t.stopping then
-                  immediate
-                    (P.Failed
-                       { id; code = P.Shutting_down; message = "router draining" })
-                else begin
-                  (* Same consistent-hash placement as [solve]; the
-                     problem kind in the key keeps the two verbs' cache
-                     populations disjoint on the shards too. *)
-                  let key =
-                    Fingerprint.solve_key ~problem:"round" ~algorithm ~seed:0
-                      path tasks
-                  in
-                  let sl = slot () in
-                  let entry =
-                    {
-                      e_key = key;
-                      e_req = req;
-                      e_slot = sl;
-                      e_client_id = id;
-                      e_t0 = now ();
-                      e_solve = true;
-                      e_open = false;
-                      e_attempts = 0;
-                    }
-                  in
-                  Obs.Metrics.incr c_forwarded;
-                  dispatch t entry;
-                  push_text (fun () -> await sl)
-                end
-            | P.Session_open { id; seed; path; tasks } ->
-                if Atomic.get t.stopping then
-                  immediate
-                    (P.Failed
-                       { id; code = P.Shutting_down; message = "router draining" })
-                else begin
-                  (* Hash the base instance like a solve would: the
-                     session lives on (is pinned to) the owning shard. *)
-                  let key =
-                    Fingerprint.solve_key ~problem:"sap"
-                      ~algorithm:"session-open" ~seed path tasks
-                  in
-                  let sl = slot () in
-                  let entry =
-                    {
-                      e_key = key;
-                      e_req = req;
-                      e_slot = sl;
-                      e_client_id = id;
-                      e_t0 = now ();
-                      e_solve = false;
-                      e_open = true;
-                      e_attempts = 0;
-                    }
-                  in
-                  Obs.Metrics.incr c_forwarded;
-                  dispatch t entry;
-                  push_text (fun () -> await sl)
-                end
-            | P.Session_add _ | P.Session_remove _ | P.Session_resolve _
-            | P.Session_close _ -> (
-                let id = P.request_id req in
-                let sid = Option.get (P.request_session req) in
-                let owner =
-                  Mutex.protect t.sess_lock (fun () ->
-                      Hashtbl.find_opt t.sess_owners sid)
-                in
-                match Option.bind owner (shard_by_name t) with
-                | None ->
-                    immediate
-                      (P.Failed
-                         {
-                           id;
-                           code = P.Unknown_session;
-                           message =
-                             Printf.sprintf "router: unknown session %d" sid;
-                         })
-                | Some sh ->
-                    let sl = slot () in
-                    if send_direct t sh req sl then
-                      let is_close =
-                        match req with P.Session_close _ -> true | _ -> false
-                      in
-                      push_text (fun () ->
-                          let text = await sl in
-                          if is_close then
-                            Mutex.protect t.sess_lock (fun () ->
-                                Hashtbl.remove t.sess_owners sid);
-                          text)
-                    else
-                      immediate
-                        (P.Failed
-                           {
-                             id;
-                             code = P.Unknown_session;
-                             message =
-                               Printf.sprintf
-                                 "router: session %d owner %s unavailable" sid
-                                 sh.sh_name;
-                           }))
-            | P.Ping { id } -> immediate (P.Ack { id })
-            | P.Stats { id } ->
-                push_text (fun () ->
-                    P.response_to_string (P.Stats_reply { id; stats = stats_json t }))
-            | P.Shutdown { id } ->
-                push_text (fun () ->
-                    shutdown t;
-                    P.response_to_string (P.Ack { id })));
-            (match req with P.Shutdown _ -> () | _ -> loop ()))
-  in
-  (try loop () with Sys_error _ -> ());
-  Pump.finish pump
+            | P.Session_close _ ->
+                Mutex.protect t.sess_lock (fun () ->
+                    Hashtbl.remove t.sess_owners sid)
+            | _ -> ());
+            text
+          else
+            unknown
+              (Printf.sprintf "router: session %d owner %s unavailable" sid
+                 sh.sh_name))
+  | P.Ping _ -> reply (P.Ack { id })
+  | P.Stats _ ->
+      fun () -> P.response_to_string (P.Stats_reply { id; stats = stats_json t })
+  | P.Shutdown _ ->
+      fun () ->
+        shutdown t;
+        P.response_to_string (P.Ack { id })
 
 let serve ?on_bound ?stop t ~socket_path =
   Transport.serve_unix_sessions ?on_bound ?stop

@@ -98,9 +98,9 @@ val create : ?config:config -> endpoint list -> (t, string) result
     [connect_attempts]. *)
 
 val handle_session : t -> in_channel -> out_channel -> unit
-(** Serve one client connection to completion (same contract as
-    {!Transport.serve_channels}: FIFO responses, bad frames answered
-    under id [-1], [shutdown] drains the whole router). *)
+(** Serve one client connection to completion: the router's handler on
+    {!Transport.serve_frames} (FIFO responses, bad frames answered under
+    id [-1]); a [shutdown] frame drains the whole router. *)
 
 val serve :
   ?on_bound:(string -> unit) ->

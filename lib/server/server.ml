@@ -28,18 +28,12 @@ let default_config =
     log = None;
   }
 
-type cached_solve = {
-  c_scheduled : int;
-  c_weight : float;
-  c_solution : Core.Solution.sap;
-}
-
 (* One LRU serves both problems.  {!Fingerprint.solve_key} embeds the
    problem kind, so a [solve] and a [round-solve] entry can never share a
    key; the variant additionally keeps even a 64-bit hash collision
    across problems from serving a round packing as a SAP solution. *)
 type cache_entry =
-  | Sap_result of cached_solve
+  | Sap_result of Core.Solution.sap
   | Round_result of Core.Solution.sap list
 
 (* A registered session: the state machine plus its own lock — resolves
@@ -86,12 +80,9 @@ let create ?(config = default_config) () =
         Sap.Solvers.names;
   }
 
-type pending = {
-  ready : unit -> bool;
-  force : unit -> Protocol.response;
-}
+type pending = unit -> Protocol.response
 
-let immediate resp = { ready = (fun () -> true); force = (fun () -> resp) }
+let immediate resp () = resp
 
 let draining t = Atomic.get t.draining_flag
 
@@ -127,18 +118,41 @@ let fail t ~id code message =
   Atomic.incr t.n_errors;
   P.Failed { id; code; message }
 
+let draining_refusal t ~id = fail t ~id P.Shutting_down "server is draining"
+
 let timeout t ~id =
   Atomic.incr t.n_timeouts;
   P.Timed_out { id }
 
-let solved t ~id ~cached ~time_ms (c : cached_solve) =
+(* Every verb that does solver work runs as a pool job through here.  A
+   pool that has begun its drain refuses the job; with a [deadline] the
+   response turns into a clean [timeout] once it passes — the job keeps
+   running to completion (it may still warm the cache). *)
+let pooled t ~id ?deadline job =
+  match Pool.submit t.pool job with
+  | exception Pool.Closed -> immediate (draining_refusal t ~id)
+  | fut -> (
+      match deadline with
+      | None -> fun () -> Pool.await fut
+      | Some deadline -> (
+          fun () ->
+            match Pool.await_until fut ~deadline with
+            | Some resp -> resp
+            | None -> timeout t ~id))
+
+let solved t ~id ~cached ~time_ms sol =
   Atomic.incr t.n_solved;
   P.Solved
     {
       id;
       summary =
-        { scheduled = c.c_scheduled; weight = c.c_weight; cached; time_ms };
-      solution = c.c_solution;
+        {
+          scheduled = List.length sol;
+          weight = Core.Solution.sap_weight sol;
+          cached;
+          time_ms;
+        };
+      solution = sol;
     }
 
 let round_solved t ~id ~cached ~time_ms rounds =
@@ -197,40 +211,29 @@ let no_session t ~id sid =
    inline at admission time, which keeps a pipelined open/add/resolve
    sequence ordered without a pool round-trip per delta. *)
 let submit_session_open t ~id ~seed path tasks =
-  let job () =
-    match Session.create ~seed path tasks with
-    | Error m -> fail t ~id P.Bad_request m
-    | Ok ses -> (
-        match Session.resolve ~cold:true ses with
-        | Error m -> fail t ~id P.Internal m
-        | Ok result ->
-            let sid = fresh_sid t in
-            Mutex.protect t.sessions_lock (fun () ->
-                Hashtbl.replace t.sessions sid
-                  { se = ses; se_lock = Mutex.create () });
-            session_solved t ~id ~session:sid ~event:P.Sess_opened result)
-  in
-  match Pool.submit t.pool job with
-  | exception Pool.Closed ->
-      immediate (fail t ~id P.Shutting_down "server is draining")
-  | fut -> { ready = (fun () -> Pool.completed fut); force = (fun () -> Pool.await fut) }
+  pooled t ~id (fun () ->
+      match Session.create ~seed path tasks with
+      | Error m -> fail t ~id P.Bad_request m
+      | Ok ses -> (
+          match Session.resolve ~cold:true ses with
+          | Error m -> fail t ~id P.Internal m
+          | Ok result ->
+              let sid = fresh_sid t in
+              Mutex.protect t.sessions_lock (fun () ->
+                  Hashtbl.replace t.sessions sid
+                    { se = ses; se_lock = Mutex.create () });
+              session_solved t ~id ~session:sid ~event:P.Sess_opened result))
 
 let submit_session_resolve t ~id ~session ~cold =
   match find_session t session with
   | None -> immediate (no_session t ~id session)
-  | Some entry -> (
-      let job () =
-        Mutex.protect entry.se_lock (fun () ->
-            match Session.resolve ~cold entry.se with
-            | Error m -> fail t ~id P.Internal m
-            | Ok result ->
-                session_solved t ~id ~session ~event:P.Sess_resolved result)
-      in
-      match Pool.submit t.pool job with
-      | exception Pool.Closed ->
-          immediate (fail t ~id P.Shutting_down "server is draining")
-      | fut ->
-          { ready = (fun () -> Pool.completed fut); force = (fun () -> Pool.await fut) })
+  | Some entry ->
+      pooled t ~id (fun () ->
+          Mutex.protect entry.se_lock (fun () ->
+              match Session.resolve ~cold entry.se with
+              | Error m -> fail t ~id P.Internal m
+              | Ok result ->
+                  session_solved t ~id ~session ~event:P.Sess_resolved result))
 
 let session_delta t ~id ~session apply =
   match find_session t session with
@@ -258,31 +261,32 @@ let session_close t ~id ~session =
 
 (* ---------- per-request telemetry ---------- *)
 
-(* One record per admitted request, created at receive time.  The worker
-   domain stamps dequeue/solve phases; the forcing domain reads them when
-   the response is produced.  [Atomic.t] floats keep the cross-domain
-   handoff well-defined even on the timeout path (where the job may still
-   be running when the response is forced). *)
+(* One record per admitted request, created at receive time.  Admission
+   sets [cache_state] before the pending is handed on; the worker domain
+   stamps dequeue/solve phases; the forcing domain reads them when the
+   response is produced.  [Atomic.t] floats keep the cross-domain handoff
+   well-defined even on the timeout path (where the job may still be
+   running when the response is forced). *)
 type telemetry = {
   rid : int;  (* server-assigned, monotonically increasing *)
   t_recv : float;
   verb : string;
   alg : string option;
   solve_seed : int option;
-  cache_state : string option;  (* "hit" | "miss" | "off"; solves only *)
+  mutable cache_state : string option;  (* "hit" | "miss" | "off"; solves only *)
   queue_s : float Atomic.t;  (* receive -> dequeue; nan until stamped *)
   solve_s : float Atomic.t;  (* solver wall time; nan until stamped *)
   finalized : bool Atomic.t;
 }
 
-let telemetry t ~verb ?alg ?solve_seed ?cache_state () =
+let telemetry t ~verb ?alg ?solve_seed () =
   {
     rid = Atomic.fetch_and_add t.seq 1;
     t_recv = Obs.Clock.monotonic_seconds ();
     verb;
     alg;
     solve_seed;
-    cache_state;
+    cache_state = None;
     queue_s = Atomic.make Float.nan;
     solve_s = Atomic.make Float.nan;
     finalized = Atomic.make false;
@@ -339,22 +343,64 @@ let log_line tel resp ~total =
 (* Wrap a pending so the respond timestamp, total-latency observations and
    the structured log line happen exactly once, when the transport forces
    the response (FIFO flush order = respond order). *)
-let finalize t tel pending =
-  let record resp =
-    if not (Atomic.exchange tel.finalized true) then begin
-      let total = Obs.Clock.monotonic_seconds () -. tel.t_recv in
-      Obs.Metrics.observe h_total total;
-      (match tel.cache_state with
-      | Some "hit" -> Obs.Metrics.observe h_total_hit total
-      | Some _ -> Obs.Metrics.observe h_total_miss total
-      | None -> ());
-      match t.config.log with
-      | Some log -> log (log_line tel resp ~total)
-      | None -> ()
-    end;
-    resp
+let finalize t tel pending () =
+  let resp = pending () in
+  if not (Atomic.exchange tel.finalized true) then begin
+    let total = Obs.Clock.monotonic_seconds () -. tel.t_recv in
+    Obs.Metrics.observe h_total total;
+    (match tel.cache_state with
+    | Some "hit" -> Obs.Metrics.observe h_total_hit total
+    | Some _ -> Obs.Metrics.observe h_total_miss total
+    | None -> ());
+    match t.config.log with
+    | Some log -> log (log_line tel resp ~total)
+    | None -> ()
+  end;
+  resp
+
+(* The lifecycle [solve] and [round-solve] share: cache lookup, then a
+   pool job (queue stamp, deadline check at dequeue, timed solve under
+   [span], checker) whose checked result is inserted into the cache.  The
+   problem-specific parts are arguments: [problem], [algorithm] and
+   [seed] make the cache key (none when [cache] is off), [hit] picks this
+   problem's entries out of the shared cache and [store] wraps a result
+   for it, [solve], [check] and [reply] are the problem's solver, checker
+   and response, and [raised]/[infeasible] prefix its error messages. *)
+let solve_cached t tel ~id ~problem ~algorithm ~seed ~cache path tasks ~hit
+    ~store ?deadline ?histogram ~span ~raised ~infeasible ~solve ~check reply =
+  let key =
+    if cache then Some (Fingerprint.solve_key ~problem ~algorithm ~seed path tasks)
+    else None
   in
-  { ready = pending.ready; force = (fun () -> record (pending.force ())) }
+  match Option.bind (Option.bind key (Cache.find t.cache)) hit with
+  | Some v ->
+      tel.cache_state <- Some "hit";
+      immediate (reply ~cached:true ~time_ms:0.0 v)
+  | None ->
+      tel.cache_state <- Some (if key = None then "off" else "miss");
+      pooled t ~id ?deadline @@ fun () ->
+      let t_deq = Obs.Clock.monotonic_seconds () in
+      Atomic.set tel.queue_s (t_deq -. tel.t_recv);
+      Obs.Metrics.observe h_queue (t_deq -. tel.t_recv);
+      match deadline with
+      | Some dl when t_deq >= dl -> timeout t ~id
+      | _ -> (
+          Obs.Trace.with_span span
+            ~attrs:[ ("algorithm", algorithm); ("id", string_of_int id) ]
+          @@ fun () ->
+          let t0 = Obs.Clock.monotonic_seconds () in
+          match solve () with
+          | exception e -> fail t ~id P.Internal (raised ^ Printexc.to_string e)
+          | v -> (
+              let dt = Obs.Clock.monotonic_seconds () -. t0 in
+              Atomic.set tel.solve_s dt;
+              Obs.Metrics.observe h_solve dt;
+              Option.iter (fun h -> Obs.Metrics.observe h dt) histogram;
+              match check v with
+              | Error m -> fail t ~id P.Infeasible (infeasible ^ m)
+              | Ok () ->
+                  Option.iter (fun k -> Cache.add t.cache k (store v)) key;
+                  reply ~cached:false ~time_ms:(dt *. 1000.0) v))
 
 (* Per-request parallelism stays off: the pool provides cross-request
    parallelism, and nesting domain fan-outs inside worker domains would
@@ -362,177 +408,58 @@ let finalize t tel pending =
 let submit_solve t tel ~id (params : P.solve_params) path tasks =
   match Sap.Solvers.find params.algorithm with
   | None ->
-      ( tel,
-        immediate
-          (fail t ~id P.Unknown_algorithm
-             (Printf.sprintf "unknown algorithm %S (have: %s)" params.algorithm
-                (String.concat ", " Sap.Solvers.names))) )
-  | Some solver -> (
-      let solve = solver.Sap.Solvers.solve ~seed:params.seed ~parallel:false in
-      let key =
-        if params.cache then
-          Some
-            (Fingerprint.solve_key ~problem:"sap" ~algorithm:params.algorithm
-               ~seed:params.seed path tasks)
-        else None
+      immediate
+        (fail t ~id P.Unknown_algorithm
+           (Printf.sprintf "unknown algorithm %S (have: %s)" params.algorithm
+              (String.concat ", " Sap.Solvers.names)))
+  | Some solver ->
+      let timeout_ms =
+        match params.timeout_ms with
+        | Some _ as s -> s
+        | None -> t.config.default_timeout_ms
       in
-      match Option.map (Cache.find t.cache) key |> Option.join with
-      | Some (Sap_result hit) ->
-          ( { tel with cache_state = Some "hit" },
-            immediate (solved t ~id ~cached:true ~time_ms:0.0 hit) )
-      | Some (Round_result _) | None -> (
-          let tel =
-            { tel with cache_state = Some (if key = None then "off" else "miss") }
-          in
-          let timeout_ms =
-            match params.timeout_ms with
-            | Some _ as s -> s
-            | None -> t.config.default_timeout_ms
-          in
-          let deadline =
-            Option.map
-              (fun ms ->
-                Obs.Clock.monotonic_seconds () +. (float_of_int ms /. 1000.0))
-              timeout_ms
-          in
-          let job () =
-            let t_deq = Obs.Clock.monotonic_seconds () in
-            Atomic.set tel.queue_s (t_deq -. tel.t_recv);
-            Obs.Metrics.observe h_queue (t_deq -. tel.t_recv);
-            let expired =
-              match deadline with Some dl -> t_deq >= dl | None -> false
-            in
-            if expired then timeout t ~id
-            else
-              Obs.Trace.with_span "server.request"
-                ~attrs:[ ("algorithm", params.algorithm); ("id", string_of_int id) ]
-              @@ fun () ->
-              let t0 = Obs.Clock.monotonic_seconds () in
-              match solve path tasks with
-              | exception e ->
-                  fail t ~id P.Internal
-                    (Printf.sprintf "solver raised: %s" (Printexc.to_string e))
-              | sol -> (
-                  let dt = Obs.Clock.monotonic_seconds () -. t0 in
-                  Atomic.set tel.solve_s dt;
-                  Obs.Metrics.observe h_solve dt;
-                  (match List.assoc_opt params.algorithm t.latency with
-                  | Some h -> Obs.Metrics.observe h dt
-                  | None -> ());
-                  match Core.Checker.sap_feasible path sol with
-                  | Error m ->
-                      fail t ~id P.Infeasible ("solver produced infeasible solution: " ^ m)
-                  | Ok () ->
-                      let entry =
-                        {
-                          c_scheduled = List.length sol;
-                          c_weight = Core.Solution.sap_weight sol;
-                          c_solution = sol;
-                        }
-                      in
-                      (match key with
-                      | Some k -> Cache.add t.cache k (Sap_result entry)
-                      | None -> ());
-                      solved t ~id ~cached:false ~time_ms:(dt *. 1000.0) entry)
-          in
-          match Pool.submit t.pool job with
-          | exception Pool.Closed ->
-              (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-          | fut ->
-              let ready () =
-                Pool.completed fut
-                ||
-                match deadline with
-                | Some dl -> Obs.Clock.monotonic_seconds () >= dl
-                | None -> false
-              in
-              let force () =
-                match deadline with
-                | None -> Pool.await fut
-                | Some dl -> (
-                    match Pool.await_until fut ~deadline:dl with
-                    | Some resp -> resp
-                    | None ->
-                        (* The job keeps running to completion (it may
-                           still warm the cache); this request's answer
-                           is a clean timeout. *)
-                        timeout t ~id)
-              in
-              (tel, { ready; force })))
+      solve_cached t tel ~id ~problem:"sap" ~algorithm:params.algorithm
+        ~seed:params.seed ~cache:params.cache path tasks
+        ~hit:(function Sap_result sol -> Some sol | Round_result _ -> None)
+        ~store:(fun sol -> Sap_result sol)
+        ?deadline:
+          (Option.map
+             (fun ms ->
+               Obs.Clock.monotonic_seconds () +. (float_of_int ms /. 1000.0))
+             timeout_ms)
+        ?histogram:(List.assoc_opt params.algorithm t.latency)
+        ~span:"server.request" ~raised:"solver raised: "
+        ~infeasible:"solver produced infeasible solution: "
+        ~solve:(fun () ->
+          solver.Sap.Solvers.solve ~seed:params.seed ~parallel:false path tasks)
+        ~check:(Core.Checker.sap_feasible path)
+        (solved t ~id)
 
-(* [round-solve]: same lifecycle as [solve] — cache lookup, pool job,
-   checker verification, cache insert — for the ROUND-SAP objective.  The
+(* [round-solve]: the same lifecycle for the ROUND-SAP objective.  The
    round algorithms are deterministic (no seed) and fast enough that the
    verb carries no deadline; a client that needs one can layer it on top
    of the pipelined transport. *)
 let submit_round_solve t tel ~id ~algorithm ~cache path tasks =
   match Round.Solvers.find algorithm with
   | None ->
-      ( tel,
-        immediate
-          (fail t ~id P.Unknown_algorithm
-             (Printf.sprintf "unknown round algorithm %S (have: %s)" algorithm
-                (String.concat ", " Round.Solvers.names))) )
+      immediate
+        (fail t ~id P.Unknown_algorithm
+           (Printf.sprintf "unknown round algorithm %S (have: %s)" algorithm
+              (String.concat ", " Round.Solvers.names)))
   | Some solver -> (
       match Round.Instance.create path tasks with
       | Error m ->
-          (tel, immediate (fail t ~id P.Bad_request ("invalid round instance: " ^ m)))
-      | Ok inst -> (
-          let key =
-            if cache then
-              Some
-                (Fingerprint.solve_key ~problem:"round" ~algorithm ~seed:0 path
-                   tasks)
-            else None
-          in
-          match Option.map (Cache.find t.cache) key |> Option.join with
-          | Some (Round_result rounds) ->
-              ( { tel with cache_state = Some "hit" },
-                immediate (round_solved t ~id ~cached:true ~time_ms:0.0 rounds) )
-          | Some (Sap_result _) | None -> (
-              let tel =
-                {
-                  tel with
-                  cache_state = Some (if key = None then "off" else "miss");
-                }
-              in
-              let job () =
-                let t_deq = Obs.Clock.monotonic_seconds () in
-                Atomic.set tel.queue_s (t_deq -. tel.t_recv);
-                Obs.Metrics.observe h_queue (t_deq -. tel.t_recv);
-                Obs.Trace.with_span "server.round_request"
-                  ~attrs:[ ("algorithm", algorithm); ("id", string_of_int id) ]
-                @@ fun () ->
-                let t0 = Obs.Clock.monotonic_seconds () in
-                match solver.Round.Solvers.solve inst with
-                | exception e ->
-                    fail t ~id P.Internal
-                      (Printf.sprintf "round solver raised: %s"
-                         (Printexc.to_string e))
-                | rounds -> (
-                    let dt = Obs.Clock.monotonic_seconds () -. t0 in
-                    Atomic.set tel.solve_s dt;
-                    Obs.Metrics.observe h_solve dt;
-                    match Round.Checker.check inst rounds with
-                    | Error m ->
-                        fail t ~id P.Infeasible
-                          ("round solver produced infeasible packing: " ^ m)
-                    | Ok () ->
-                        (match key with
-                        | Some k -> Cache.add t.cache k (Round_result rounds)
-                        | None -> ());
-                        round_solved t ~id ~cached:false ~time_ms:(dt *. 1000.0)
-                          rounds)
-              in
-              match Pool.submit t.pool job with
-              | exception Pool.Closed ->
-                  (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-              | fut ->
-                  ( tel,
-                    {
-                      ready = (fun () -> Pool.completed fut);
-                      force = (fun () -> Pool.await fut);
-                    } ))))
+          immediate (fail t ~id P.Bad_request ("invalid round instance: " ^ m))
+      | Ok inst ->
+          solve_cached t tel ~id ~problem:"round" ~algorithm ~seed:0 ~cache path
+            tasks
+            ~hit:(function Round_result r -> Some r | Sap_result _ -> None)
+            ~store:(fun rounds -> Round_result rounds)
+            ~span:"server.round_request" ~raised:"round solver raised: "
+            ~infeasible:"round solver produced infeasible packing: "
+            ~solve:(fun () -> solver.Round.Solvers.solve inst)
+            ~check:(Round.Checker.check inst)
+            (round_solved t ~id))
 
 let drain_pool t =
   Atomic.set t.draining_flag true;
@@ -541,6 +468,11 @@ let drain_pool t =
 let submit t req =
   Atomic.incr t.n_requests;
   let id = P.request_id req in
+  (* Verbs that do solver work: a draining server refuses them before any
+     cache lookup or pool submission. *)
+  let work tel admit =
+    (tel, if draining t then immediate (draining_refusal t ~id) else admit ())
+  in
   let tel, pending =
     match req with
     | P.Ping _ -> (telemetry t ~verb:"ping" (), immediate (P.Ack { id }))
@@ -549,32 +481,27 @@ let submit t req =
            batch reflects that batch once the transport's in-order flush
            reaches it. *)
         ( telemetry t ~verb:"stats" (),
-          {
-            ready = (fun () -> true);
-            force = (fun () -> P.Stats_reply { id; stats = stats_json t });
-          } )
+          fun () -> P.Stats_reply { id; stats = stats_json t } )
     | P.Shutdown _ ->
         Atomic.set t.draining_flag true;
         ( telemetry t ~verb:"shutdown" (),
-          { ready = (fun () -> true); force = (fun () -> drain_pool t; P.Ack { id }) } )
+          fun () ->
+            drain_pool t;
+            P.Ack { id } )
     | P.Solve { params; path; tasks; _ } ->
         let tel =
           telemetry t ~verb:"solve" ~alg:params.algorithm
             ~solve_seed:params.seed ()
         in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else submit_solve t tel ~id params path tasks
+        work tel (fun () -> submit_solve t tel ~id params path tasks)
     | P.Round_solve { algorithm; cache; path; tasks; _ } ->
         let tel = telemetry t ~verb:"round-solve" ~alg:algorithm () in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else submit_round_solve t tel ~id ~algorithm ~cache path tasks
+        work tel (fun () ->
+            submit_round_solve t tel ~id ~algorithm ~cache path tasks)
     | P.Session_open { seed; path; tasks; _ } ->
-        let tel = telemetry t ~verb:"session-open" ~solve_seed:seed () in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else (tel, submit_session_open t ~id ~seed path tasks)
+        work
+          (telemetry t ~verb:"session-open" ~solve_seed:seed ())
+          (fun () -> submit_session_open t ~id ~seed path tasks)
     | P.Session_add { session; task; _ } ->
         ( telemetry t ~verb:"add-task" (),
           immediate
@@ -586,16 +513,14 @@ let submit t req =
             (session_delta t ~id ~session (fun ses ->
                  Session.remove_task ses task_id)) )
     | P.Session_resolve { session; cold; _ } ->
-        let tel = telemetry t ~verb:"resolve" () in
-        if draining t then
-          (tel, immediate (fail t ~id P.Shutting_down "server is draining"))
-        else (tel, submit_session_resolve t ~id ~session ~cold)
+        work (telemetry t ~verb:"resolve" ()) (fun () ->
+            submit_session_resolve t ~id ~session ~cold)
     | P.Session_close { session; _ } ->
         ( telemetry t ~verb:"session-close" (),
           immediate (session_close t ~id ~session) )
   in
   finalize t tel pending
 
-let handle t req = (submit t req).force ()
+let handle t req = submit t req ()
 
 let drain t = drain_pool t

@@ -30,9 +30,11 @@
     raising solver into [internal], a missed deadline into [timeout].
 
     Transports drive the server through {!submit}, which returns a
-    {!pending} handle instead of blocking, so a connection loop can keep
-    reading pipelined requests while earlier solves are still in flight
-    and flush completed responses opportunistically (FIFO order). *)
+    {!pending} thunk instead of blocking, so a connection loop
+    ({!Transport.serve_frames}) can keep reading pipelined requests
+    while earlier solves are still in flight: it hands each thunk, in
+    arrival order, to the connection's response {!Pump}, whose writer
+    forces it and writes the response as soon as it is ready. *)
 
 type config = {
   workers : int option;  (** [None]: {!Util.Parallel.default_jobs} *)
@@ -53,13 +55,9 @@ type t
 
 val create : ?config:config -> unit -> t
 
-type pending = {
-  ready : unit -> bool;
-      (** non-blocking: would [force] return without waiting? *)
-  force : unit -> Protocol.response;
-      (** block (up to the request's deadline) and produce the response;
-          idempotent per handle — call it once *)
-}
+type pending = unit -> Protocol.response
+(** Forcing blocks (up to the request's deadline) and produces the
+    response; force each pending once. *)
 
 val submit : t -> Protocol.request -> pending
 (** Admit one request.  May block on the pool's bounded queue (the
@@ -69,7 +67,7 @@ val submit : t -> Protocol.request -> pending
     completes the drain and acknowledges. *)
 
 val handle : t -> Protocol.request -> Protocol.response
-(** [submit] + [force]: the synchronous convenience used by tests and
+(** [submit] and force: the synchronous convenience used by tests and
     single-request callers. *)
 
 val stats_json : t -> Obs.Json.t

@@ -3,42 +3,44 @@ module P = Protocol
 let c_bad_frames = Obs.Metrics.counter "server.bad_frames"
 let c_connections = Obs.Metrics.counter "server.connections"
 
-let write_response oc resp =
-  output_string oc (P.response_to_string resp);
-  flush oc
-
-(* Responses drain on a per-connection {!Pump}: pushed in arrival order,
-   each written the moment it (and everything before it) is ready.
-   Flushing from the read loop instead would strand the tail of a
-   pipelined connection that goes quiet without closing — the router's
-   link to a shard after a load burst — because nothing inbound would
-   ever trigger the flush. *)
-let serve_channels t ic oc =
-  Obs.Metrics.incr c_connections;
+(* The one request-frame loop, shared by [serve] connections and the
+   router's front.  Responses drain on a per-connection {!Pump}: pushed
+   in arrival order, each written the moment it (and everything before
+   it) is ready.  Flushing from the read loop instead would strand the
+   tail of a pipelined connection that goes quiet without closing — the
+   router's link to a shard after a load burst — because nothing inbound
+   would ever trigger the flush. *)
+let serve_frames ic oc handle =
   let pump = Pump.create () in
   let read_line () = try Some (input_line ic) with End_of_file -> None in
   let rec loop () =
     match P.read_frame ~read_line with
     | None -> ()
-    | Some lines -> (
-        match P.request_of_lines lines with
-        | Error m ->
-            Obs.Metrics.incr c_bad_frames;
-            Pump.push pump (fun () ->
-                write_response oc
-                  (P.Failed { id = -1; code = P.Bad_request; message = m }));
-            loop ()
-        | Ok req ->
-            let stop = match req with P.Shutdown _ -> true | _ -> false in
-            let p = Server.submit t req in
-            Pump.push pump (fun () -> write_response oc (p.Server.force ()));
-            if not stop then loop ())
+    | Some lines ->
+        let respond, stop =
+          match P.request_of_lines lines with
+          | Error m ->
+              Obs.Metrics.incr c_bad_frames;
+              let resp = P.Failed { id = -1; code = P.Bad_request; message = m } in
+              ((fun () -> P.response_to_string resp), false)
+          | Ok req -> (handle req, match req with P.Shutdown _ -> true | _ -> false)
+        in
+        Pump.push pump (fun () ->
+            output_string oc (respond ());
+            flush oc);
+        if not stop then loop ()
   in
   (* A peer that vanishes mid-read surfaces as Sys_error; the connection
      is over, but every admitted request still gets its response written
      (or discarded on EPIPE) by the pump before we return. *)
   (try loop () with Sys_error _ -> ());
   Pump.finish pump
+
+let serve_channels t ic oc =
+  Obs.Metrics.incr c_connections;
+  serve_frames ic oc (fun req ->
+      let pending = Server.submit t req in
+      fun () -> P.response_to_string (pending ()))
 
 (* ---------- stop handles (self-pipe) ---------- *)
 

@@ -1,11 +1,13 @@
 (** Byte-stream transports for the solve service.
 
     One connection = one framed request/response stream ({!Protocol}).
-    The connection loop reads frames and admits them via {!Server.submit}
-    — which blocks on the pool's bounded queue when the server is
-    saturated, so backpressure reaches the client through the kernel
-    socket buffer — and flushes completed responses opportunistically in
-    FIFO admission order (ids let pipelined clients re-associate them
+    The connection loop ({!serve_frames}) reads frames and admits each
+    one — for a server via {!Server.submit}, which blocks on the pool's
+    bounded queue when the server is saturated, so backpressure reaches
+    the client through the kernel socket buffer.  Admission returns a
+    response thunk, which goes to the connection's {!Pump}: a writer
+    domain forces the thunks in admission order and writes each response
+    the moment it is ready (ids let pipelined clients re-associate them
     anyway).  A frame whose header does not parse is answered with an
     [error] response under id [-1]; the stream stays usable.
 
@@ -14,10 +16,22 @@
     in-flight, refuse new) and acknowledges {e after} the drain, so a
     client that waits for the ack observes a fully quiesced server. *)
 
+val serve_frames :
+  in_channel -> out_channel -> (Protocol.request -> unit -> string) -> unit
+(** [serve_frames ic oc handle] is the request-frame loop of every
+    connection, to a server ({!serve_channels}) or to a router
+    ({!Router.handle_session}).  Each parsed request is admitted with
+    [handle req] on the reading domain; the returned thunk is forced on
+    the pump's writer domain and must produce the full response frame.
+    A frame that does not parse is answered with [bad-request] under id
+    [-1] and counted in [server.bad_frames].  Reading stops at end of
+    input, after a [shutdown] frame, or when the peer disappears; every
+    admitted request is answered before the call returns.  Never raises
+    for transport-level failures. *)
+
 val serve_channels : Server.t -> in_channel -> out_channel -> unit
-(** Serve one connection (or a stdio session) to completion.  Returns on
-    end of input, after a [shutdown] frame, or when the peer disappears
-    mid-write; never raises for transport-level failures. *)
+(** Serve one connection (or a stdio session) to completion:
+    {!serve_frames} with {!Server.submit} as the handler. *)
 
 (** {2 Stop handles}
 

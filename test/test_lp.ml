@@ -1,6 +1,5 @@
 module Task = Core.Task
 module Path = Core.Path
-module Simplex_reference = Lp.Simplex_reference
 
 let case = Helpers.case
 

@@ -300,6 +300,119 @@ let drain_under_load_loses_nothing () =
   (* And a fresh batch still fully succeeds on the survivors. *)
   assert_all_solved instances (batch_through_front fl instances)
 
+(* Every other verb family through the front socket on one connection:
+   round-solve and session-open are forwarded by fingerprint, the
+   session's follow-up verbs are pinned to the shard that opened it, and
+   malformed frames and pings are answered by the router itself. *)
+let router_serves_every_verb () =
+  with_fleet ~shards:2 @@ fun fl ->
+  match Client.connect_unix fl.fl_front with
+  | Error m -> Alcotest.failf "connect front: %s" m
+  | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      let request ?(tasks = []) req =
+        match Client.request ~ic ~oc ~tasks_for:(fun _ -> Some tasks) req with
+        | Ok resp -> resp
+        | Error m -> Alcotest.failf "request: %s" m
+      in
+      let unexpected what resp =
+        Alcotest.failf "%s: unexpected %s" what (Proto.response_to_string resp)
+      in
+      (* round-solve: a checker-valid packing, then a cached repeat. *)
+      let rpath = Core.Path.create [| 6; 6; 6 |] in
+      let rtask ~id ~first ~last ~d =
+        Core.Task.make ~id ~first_edge:first ~last_edge:last ~demand:d
+          ~weight:1.0
+      in
+      let rtasks =
+        [
+          rtask ~id:0 ~first:0 ~last:1 ~d:4;
+          rtask ~id:1 ~first:1 ~last:2 ~d:4;
+          rtask ~id:2 ~first:0 ~last:2 ~d:3;
+          rtask ~id:3 ~first:2 ~last:2 ~d:6;
+        ]
+      in
+      let round_solve id =
+        request ~tasks:rtasks
+          (Proto.Round_solve
+             {
+               id;
+               algorithm = "bands";
+               cache = true;
+               path = rpath;
+               tasks = rtasks;
+             })
+      in
+      (match round_solve 0 with
+      | Proto.Round_solved { id = 0; summary; rounds } -> (
+          Alcotest.(check bool) "fresh round-solve" false summary.Proto.r_cached;
+          match
+            Round.Checker.check (Round.Instance.create_exn rpath rtasks) rounds
+          with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "round checker: %s" m)
+      | resp -> unexpected "round-solve" resp);
+      (match round_solve 1 with
+      | Proto.Round_solved { id = 1; summary; _ } ->
+          Alcotest.(check bool) "repeat round-solve cached" true
+            summary.Proto.r_cached
+      | resp -> unexpected "repeat round-solve" resp);
+      (* A session, replies in order, every solution feasible. *)
+      let path, tasks = Helpers.tiny_instance 77 in
+      let extra =
+        Core.Task.make ~id:5000 ~first_edge:0 ~last_edge:0 ~demand:1
+          ~weight:3.0
+      in
+      let sid =
+        match
+          request ~tasks (Proto.Session_open { id = 2; seed = 3; path; tasks })
+        with
+        | Proto.Session_reply
+            { id = 2; session; event = Proto.Sess_opened; solution; _ } ->
+            Helpers.assert_feasible_sap path solution;
+            session
+        | resp -> unexpected "session-open" resp
+      in
+      (match request (Proto.Session_add { id = 3; session = sid; task = extra }) with
+      | Proto.Session_reply { id = 3; session; event = Proto.Sess_ack; _ } ->
+          Alcotest.(check int) "add-task pinned to the session" sid session
+      | resp -> unexpected "add-task" resp);
+      (match
+         request ~tasks:(extra :: tasks)
+           (Proto.Session_resolve { id = 4; session = sid; cold = false })
+       with
+      | Proto.Session_reply
+          { id = 4; event = Proto.Sess_resolved; summary = Some s; solution; _ }
+        ->
+          Alcotest.(check int) "resolve sees the added task"
+            (List.length tasks + 1) s.Proto.s_tasks;
+          Helpers.assert_feasible_sap path solution
+      | resp -> unexpected "resolve" resp);
+      (match request (Proto.Session_close { id = 5; session = sid }) with
+      | Proto.Session_reply { id = 5; event = Proto.Sess_closed; _ } -> ()
+      | resp -> unexpected "session-close" resp);
+      (match request (Proto.Session_resolve { id = 6; session = sid; cold = false }) with
+      | Proto.Failed { id = 6; code = Proto.Unknown_session; _ } -> ()
+      | resp -> unexpected "resolve after close" resp);
+      (* A malformed frame is answered under id -1; the stream survives. *)
+      output_string oc "sap-request v1 zero ping\nend\n";
+      flush oc;
+      let read_line () = try Some (input_line ic) with End_of_file -> None in
+      (match Proto.read_frame ~read_line with
+      | None -> Alcotest.fail "eof instead of a bad-request reply"
+      | Some lines -> (
+          match Proto.response_of_lines ~tasks_for:(fun _ -> None) lines with
+          | Ok (Proto.Failed { id = -1; code = Proto.Bad_request; _ }) -> ()
+          | Ok resp -> unexpected "malformed frame" resp
+          | Error m -> Alcotest.failf "bad response: %s" m));
+      match request (Proto.Ping { id = 7 }) with
+      | Proto.Ack { id = 7 } -> ()
+      | resp -> unexpected "ping" resp
+
 (* ---------- loadgen sweep knee ---------- *)
 
 let knee_detection () =
@@ -331,6 +444,8 @@ let () =
           case "response flushes without inbound traffic"
             router_flushes_without_inbound;
           case "drain under load loses nothing" drain_under_load_loses_nothing;
+          case "round-solve, session, bad frame and ping through the front"
+            router_serves_every_verb;
         ] );
       ("sweep", [ case "knee detection" knee_detection ]);
     ]

@@ -141,12 +141,9 @@ let pool_drain_loses_nothing () =
                     Atomic.incr ran;
                     i))))
   in
-  let futures = List.concat_map Domain.join producers in
+  List.iter (fun d -> ignore (Domain.join d)) producers;
   Pool.shutdown p;
   Alcotest.(check int) "all jobs ran" 40 (Atomic.get ran);
-  List.iter
-    (fun fut -> Alcotest.(check bool) "future completed" true (Pool.completed fut))
-    futures;
   let s = Pool.stats p in
   Alcotest.(check int) "submitted" 40 s.Pool.submitted;
   Alcotest.(check int) "completed" 40 s.Pool.completed;
@@ -354,6 +351,18 @@ let default_params = Proto.default_solve_params
 let mixed_instances n =
   List.init n (fun i -> Helpers.tiny_instance (1000 + (17 * i)))
 
+(* [section.field] of a stats payload, as an int. *)
+let int_field section field json =
+  match json with
+  | Obs.Json.Obj fields -> (
+      match List.assoc_opt section fields with
+      | Some (Obs.Json.Obj sub) -> (
+          match List.assoc_opt field sub with
+          | Some (Obs.Json.Int n) -> n
+          | _ -> Alcotest.failf "stats: %s.%s missing" section field)
+      | _ -> Alcotest.failf "stats: %s section missing" section)
+  | _ -> Alcotest.fail "stats payload is not an object"
+
 let e2e_concurrent_solves_and_cache () =
   let config =
     { Server.default_config with Server.workers = Some 4; cache_capacity = 256 }
@@ -371,7 +380,7 @@ let e2e_concurrent_solves_and_cache () =
             (Proto.Solve { id = i; params = default_params; path; tasks }))
         instances
     in
-    List.map (fun p -> p.Server.force ()) pendings
+    List.map (fun p -> p ()) pendings
   in
   let check_round ~cached responses =
     List.iteri
@@ -393,17 +402,6 @@ let e2e_concurrent_solves_and_cache () =
   check_round ~cached:false (submit_all ());
   (* The whole batch again: every solve must be served from the cache. *)
   check_round ~cached:true (submit_all ());
-  let int_field section field json =
-    match json with
-    | Obs.Json.Obj fields -> (
-        match List.assoc_opt section fields with
-        | Some (Obs.Json.Obj sub) -> (
-            match List.assoc_opt field sub with
-            | Some (Obs.Json.Int n) -> n
-            | _ -> Alcotest.failf "stats: %s.%s missing" section field)
-        | _ -> Alcotest.failf "stats: %s section missing" section)
-    | _ -> Alcotest.fail "stats payload is not an object"
-  in
   match Server.handle srv (Proto.Stats { id = 99 }) with
   | Proto.Stats_reply { stats; _ } ->
       (* 20 cold solves + 20 warm + this stats request. *)
@@ -570,7 +568,7 @@ let e2e_shutdown_under_load () =
       instances
   in
   let shutdown_pending = Server.submit srv (Proto.Shutdown { id = 100 }) in
-  (match shutdown_pending.Server.force () with
+  (match shutdown_pending () with
   | Proto.Ack { id = 100 } -> ()
   | _ -> Alcotest.fail "expected shutdown ack");
   Alcotest.(check bool) "draining" true (Server.draining srv);
@@ -582,10 +580,12 @@ let e2e_shutdown_under_load () =
    with
   | Proto.Failed { code = Proto.Shutting_down; _ } -> ()
   | _ -> Alcotest.fail "expected shutting-down");
+  (* Every accepted request ran before the ack. *)
+  Alcotest.(check int) "accepted requests completed" 10
+    (int_field "pool" "completed" (Server.stats_json srv));
   List.iteri
     (fun i p ->
-      Alcotest.(check bool) "accepted request completed" true (p.Server.ready ());
-      match p.Server.force () with
+      match p () with
       | Proto.Solved _ -> ()
       | _ -> Alcotest.failf "request %d lost by drain" i)
     pendings

@@ -227,7 +227,7 @@ let server_session_lifecycle () =
       ()
   in
   Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
-  let force req = (Server.submit srv req).Server.force () in
+  let force req = Server.submit srv req () in
   let sid =
     match force (Proto.Session_open { id = 0; seed = 3; path; tasks }) with
     | Proto.Session_reply
@@ -273,8 +273,7 @@ let server_unknown_session () =
   in
   Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
   match
-    (Server.submit srv (Proto.Session_remove { id = 0; session = 123456; task_id = 1 }))
-      .Server.force ()
+    Server.submit srv (Proto.Session_remove { id = 0; session = 123456; task_id = 1 }) ()
   with
   | Proto.Failed { code = Proto.Unknown_session; _ } -> ()
   | _ -> Alcotest.fail "expected unknown-session"
