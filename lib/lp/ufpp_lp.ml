@@ -4,97 +4,57 @@ type t = {
   solution : float array;
 }
 
-(* A warm handle keys the simplex basis by stable identifiers — task ids
-   for columns, edge indices for rows — so it survives the column/row
+(* A warm handle keys the tree basis by stable identifiers — task ids for
+   task arcs, edge indices for slack arcs — so it survives the column
    renumbering a delta causes. *)
 type warm = {
-  w_basis : Simplex.basis;
-  w_ids : int array;  (* column c of the solved LP -> task id *)
-  w_edges : int array;  (* row i of the solved LP -> edge index *)
+  w_tree : int array;  (* task ids of the tree's task arcs *)
+  w_edges : int array;  (* edges of the tree's slack arcs *)
+  w_upper : int array;  (* task ids at x = 1 *)
 }
 
-let solve_scaled_warm path ~scale ?warm ts =
+(* LP (1) over the tasks that [fit] alone under [capacity]. *)
+let solve_lp ?warm ~capacity ~fits ts =
   let tasks = Array.of_list ts in
-  let n_all = Array.length tasks in
-  let cap e = scale *. float_of_int (Core.Path.capacity path e) in
-  (* Columns: only tasks that fit alone under the scaled capacities. *)
+  let cols = Array.of_list (List.filter fits ts) in
+  let n = Array.length cols in
+  if n = 0 then ({ tasks; value = 0.0; solution = Array.make (Array.length tasks) 0.0 }, None)
+  else begin
+    let by_id = Hashtbl.create n in
+    Array.iteri (fun c (j : Core.Task.t) -> Hashtbl.replace by_id j.Core.Task.id c) cols;
+    let col id = Option.value (Hashtbl.find_opt by_id id) ~default:(-1) in
+    let warm =
+      Option.map
+        (fun w ->
+          {
+            Net_simplex.tree_cols = Array.map col w.w_tree;
+            tree_edges = w.w_edges;
+            upper_cols = Array.map col w.w_upper;
+          })
+        warm
+    in
+    let r = Net_simplex.solve ?warm ~capacity cols in
+    let solution =
+      Array.map
+        (fun (j : Core.Task.t) ->
+          match Hashtbl.find_opt by_id j.Core.Task.id with Some c -> r.x.(c) | None -> 0.0)
+        tasks
+    in
+    let ids = Array.map (fun c -> cols.(c).Core.Task.id) in
+    let b = r.Net_simplex.basis in
+    ( { tasks; value = r.value; solution },
+      Some { w_tree = ids b.tree_cols; w_edges = b.tree_edges; w_upper = ids b.upper_cols } )
+  end
+
+let solve_scaled_warm path ~scale ?warm ts =
+  let capacity =
+    Array.init (Core.Path.num_edges path) (fun e ->
+        scale *. float_of_int (Core.Path.capacity path e))
+  in
   let fits (j : Core.Task.t) =
     float_of_int j.Core.Task.demand <= scale *. float_of_int (Core.Path.bottleneck_of path j)
   in
-  let cols = Array.to_list tasks |> List.filter fits |> Array.of_list in
-  let n = Array.length cols in
-  if n = 0 then ({ tasks; value = 0.0; solution = Array.make n_all 0.0 }, None)
-  else begin
-    let objective = Array.map (fun (j : Core.Task.t) -> j.Core.Task.weight) cols in
-    let m = Core.Path.num_edges path in
-    (* Gather each edge's incident columns by walking every task's
-       interval once — O(sum of spans), not O(m * n).  Iterating columns
-       in decreasing order leaves each per-edge list increasing. *)
-    let ecols = Array.make m [] in
-    for c = n - 1 downto 0 do
-      let j = cols.(c) in
-      for e = j.Core.Task.first_edge to j.Core.Task.last_edge do
-        ecols.(e) <- c :: ecols.(e)
-      done
-    done;
-    let capacity_rows = ref [] in
-    let row_edges = ref [] in
-    for e = m - 1 downto 0 do
-      match ecols.(e) with
-      | [] -> ()
-      | cs ->
-          let row_cols = Array.of_list cs in
-          let coefs =
-            Array.map
-              (fun c -> float_of_int cols.(c).Core.Task.demand)
-              row_cols
-          in
-          capacity_rows := (row_cols, coefs, cap e) :: !capacity_rows;
-          row_edges := e :: !row_edges
-    done;
-    let row_edges = Array.of_list !row_edges in
-    let by_id = Hashtbl.create n in
-    Array.iteri (fun c (j : Core.Task.t) -> Hashtbl.replace by_id j.Core.Task.id c) cols;
-    let warm_basis =
-      match warm with
-      | None -> None
-      | Some w ->
-          let by_edge = Hashtbl.create (Array.length row_edges) in
-          Array.iteri (fun i e -> Hashtbl.replace by_edge e i) row_edges;
-          let lookup tbl k =
-            match Hashtbl.find_opt tbl k with Some v -> v | None -> -1
-          in
-          Some
-            {
-              Simplex.w_basis = w.w_basis;
-              w_cols = Array.map (lookup by_id) w.w_ids;
-              w_rows = Array.map (lookup by_edge) w.w_edges;
-            }
-    in
-    let upper = Array.make n 1.0 in
-    match
-      Simplex.maximize_bounded ?warm_basis ~objective ~upper
-        ~rows:!capacity_rows ()
-    with
-    | Simplex.Unbounded -> assert false (* upper bounds every variable *)
-    | Simplex.Optimal { value; solution = x; basis; _ } ->
-        (* Scatter column values back to input-task order. *)
-        let solution = Array.make n_all 0.0 in
-        Array.iteri
-          (fun i (j : Core.Task.t) ->
-            match Hashtbl.find_opt by_id j.Core.Task.id with
-            | Some c -> solution.(i) <- x.(c)
-            | None -> ())
-          tasks;
-        let next =
-          {
-            w_basis = basis;
-            w_ids = Array.map (fun (j : Core.Task.t) -> j.Core.Task.id) cols;
-            w_edges = row_edges;
-          }
-        in
-        ({ tasks; value; solution }, Some next)
-  end
+  solve_lp ?warm ~capacity ~fits ts
 
 let solve_scaled path ~scale ts = fst (solve_scaled_warm path ~scale ts)
 
@@ -120,32 +80,5 @@ let upper_bound_residual path ~residual ts =
     in
     j.Core.Task.demand <= go j.Core.Task.first_edge max_int
   in
-  let cols = List.filter fits ts |> Array.of_list in
-  let n = Array.length cols in
-  if n = 0 then 0.0
-  else begin
-    let objective = Array.map (fun (j : Core.Task.t) -> j.Core.Task.weight) cols in
-    let ecols = Array.make m [] in
-    for c = n - 1 downto 0 do
-      let j = cols.(c) in
-      for e = j.Core.Task.first_edge to j.Core.Task.last_edge do
-        ecols.(e) <- c :: ecols.(e)
-      done
-    done;
-    let capacity_rows = ref [] in
-    for e = m - 1 downto 0 do
-      match ecols.(e) with
-      | [] -> ()
-      | cs ->
-          let row_cols = Array.of_list cs in
-          let coefs =
-            Array.map (fun c -> float_of_int cols.(c).Core.Task.demand) row_cols
-          in
-          capacity_rows :=
-            (row_cols, coefs, float_of_int residual.(e)) :: !capacity_rows
-    done;
-    let upper = Array.make n 1.0 in
-    match Simplex.maximize_bounded ~objective ~upper ~rows:!capacity_rows () with
-    | Simplex.Unbounded -> assert false (* upper bounds every variable *)
-    | Simplex.Optimal { value; _ } -> value
-  end
+  let capacity = Array.map float_of_int residual in
+  (fst (solve_lp ~capacity ~fits ts)).value

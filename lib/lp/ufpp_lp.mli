@@ -15,32 +15,34 @@ type t = {
 }
 
 val solve : Core.Path.t -> Core.Task.t list -> t
-(** Builds and solves the relaxation.  Capacity rows are assembled
-    sparsely by walking each task's edge interval once (O(total span))
-    and the [x_j <= 1] boxes become implicit variable bounds, so the LP
-    handed to {!Simplex.maximize_bounded} has one row per used edge and
-    no box rows at all.  Edges used by no task contribute no row; tasks
-    that do not fit alone ([d_j > b(j)]) have their variable fixed to 0
-    (they can never appear in an integral solution, and leaving them
-    fractional would inflate the bound). *)
+(** Builds and solves the relaxation as a min-cost flow on the path's
+    nodes ({!Net_simplex}: [y_j = d_j x_j], adjacent edge rows
+    subtracted, one arc per task and per edge).  Tasks that do not fit
+    alone ([d_j > b(j)]) are left out with [x_j = 0] (they can never
+    appear in an integral solution, and leaving them fractional would
+    inflate the bound). *)
 
 val solve_scaled : Core.Path.t -> scale:float -> Core.Task.t list -> t
 (** Like {!solve} but with every capacity multiplied by [scale] (used to
     express "load at most B/2" targets as an LP over the same tasks). *)
 
 type warm
-(** Warm-start handle from a previous solve: the simplex basis keyed by
-    task id (columns) and edge index (rows), so it remains valid after
-    tasks are added, removed, or resized between solves over the same
-    path.  An unusable handle degrades to a cold solve — never an
-    error. *)
+(** Warm-start handle from a previous solve: its spanning-tree basis, the
+    tree's task arcs and the tasks at [x = 1] keyed by task id and the
+    tree's slack arcs by edge index, so it remains valid after tasks are
+    added, removed, or resized between solves over the same path.  An
+    unusable handle degrades to a cold solve — never an error. *)
 
 val solve_scaled_warm :
   Core.Path.t -> scale:float -> ?warm:warm -> Core.Task.t list -> t * warm option
 (** Like {!solve_scaled}, plus warm restarts: pass the [warm] handle of
-    the previous solve to seed {!Simplex.maximize_bounded} with its
-    basis, and keep the returned handle for the next delta.  [None] is
-    returned only when the LP is empty (no task fits). *)
+    the previous solve to start from its tree (surviving tree arcs
+    installed, components reconnected by slack arcs, flows derived
+    leaf-up; see {!Net_simplex.solve}), and keep the returned handle for
+    the next delta.  Removing a task at [x = 1] can push a tree flow past
+    its bounds, and then the solve restarts cold
+    ([simplex.warm_fallbacks]).  [None] is returned only when the LP is
+    empty (no task fits). *)
 
 val upper_bound : Core.Path.t -> Core.Task.t list -> float
 (** The LP optimum: an upper bound on both [OPT_UFPP] and [OPT_SAP]. *)

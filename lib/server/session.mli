@@ -6,7 +6,7 @@
     semantics): bands are solved independently and stacked into disjoint
     vertical ranges, so a delta only invalidates the bands whose task set
     changed.  {!resolve} repacks exactly those dirty bands — each via the
-    band LP restarted from the band's previous simplex basis
+    band LP restarted from the spanning tree of its previous solve
     ({!Lp.Ufpp_lp.solve_scaled_warm}) — and reuses every untouched band's
     placements verbatim, bit for bit.  Each band's rounding generator is
     derived from the session seed and the band exponent only, so a band's

@@ -1,9 +1,7 @@
-(* The original dense-tableau simplex, kept verbatim (minus metrics) as a
-   test-only oracle for the bounded-variable sparse core in [Simplex].
-   Every [x_j <= ub] box constraint is an explicit row plus a slack
-   column, so a problem with n variables and r rows pivots over a dense
-   (r+1) x (n+r+1) matrix — which is exactly why it was replaced.  Do not
-   call it outside the test suite. *)
+(* A dense-tableau textbook simplex, kept as a test-only oracle for
+   [Lp.Ufpp_lp].  Every [x_j <= ub] box constraint is an explicit row plus
+   a slack column, so a problem with n variables and r rows pivots over a
+   dense (r+1) x (n+r+1) matrix.  Do not call it outside the test suite. *)
 
 type problem = {
   objective : float array;

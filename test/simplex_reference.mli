@@ -1,9 +1,10 @@
-(** Test-only oracle: the original dense-tableau primal simplex.
+(** Test-only oracle: a dense-tableau primal simplex.
 
-    Solves the same [maximize c.x  s.t.  A x <= b, x >= 0] problems as
-    {!Lp.Simplex.maximize}, with every box constraint as an explicit dense
-    row.  The test suite checks the sparse bounded-variable core against
-    it on random LPs; production code must use {!Lp.Simplex}.  Emits no
+    Solves [maximize c.x  s.t.  A x <= b, x >= 0] with [b >= 0], every
+    constraint (box constraints included) an explicit dense row.  The
+    test suite states LP (1) this way and checks {!Lp.Ufpp_lp} — the
+    network simplex on the LP's flow form — against it on random and
+    degenerate instances.  It shares no code with that engine.  Emits no
     metrics (so test runs never perturb [simplex.*] counters). *)
 
 type problem = {

@@ -84,24 +84,14 @@ let ring_task_spanning_nearly_all () =
 (* ---------- LP / simplex degeneracies ---------- *)
 
 let simplex_zero_objective () =
-  let p = { Lp.Simplex.objective = [| 0.0; 0.0 |]; rows = [ ([| 1.0; 1.0 |], 3.0) ] } in
-  match Lp.Simplex.maximize p with
-  | Lp.Simplex.Optimal { value; _ } ->
-      Alcotest.(check bool) "value 0" true (Helpers.close_enough value 0.0)
-  | Lp.Simplex.Unbounded -> Alcotest.fail "bounded"
+  (* Zero-weight tasks: nothing prices in, the optimum is 0. *)
+  let r = Lp.Ufpp_lp.solve (Path.create [| 3 |]) [ mk ~w:0.0 0 0 0 1; mk ~w:0.0 1 0 0 2 ] in
+  Alcotest.(check bool) "value 0" true (Helpers.close_enough r.Lp.Ufpp_lp.value 0.0)
 
 let simplex_no_rows_bounded_by_boxes () =
-  let n = 2 in
-  let p =
-    {
-      Lp.Simplex.objective = [| 1.0; 2.0 |];
-      rows = [ Lp.Simplex.box_row ~n 0 1.0; Lp.Simplex.box_row ~n 1 1.0 ];
-    }
-  in
-  match Lp.Simplex.maximize p with
-  | Lp.Simplex.Optimal { value; _ } ->
-      Alcotest.(check bool) "value 3" true (Helpers.close_enough value 3.0)
-  | Lp.Simplex.Unbounded -> Alcotest.fail "bounded"
+  (* Capacity never binds: the boxes x <= 1 alone bound the optimum. *)
+  let r = Lp.Ufpp_lp.solve (Path.create [| 5 |]) [ mk ~w:1.0 0 0 0 1; mk ~w:2.0 1 0 0 2 ] in
+  Alcotest.(check bool) "value 3" true (Helpers.close_enough r.Lp.Ufpp_lp.value 3.0)
 
 let lp_empty_tasks () =
   let p = Path.create [| 3 |] in
