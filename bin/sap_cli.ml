@@ -15,41 +15,58 @@
 
 module Task = Core.Task
 module Path = Core.Path
+module Server = Sap_server.Server
+module Transport = Sap_server.Transport
+module Client = Sap_server.Client
+module Proto = Sap_server.Protocol
+module Router = Sap_server.Router
 
-(* Every file read funnels through here so all subcommands fail the same
-   way: `error: <file>: <msg>`, exit 2, never a raw backtrace.  The
-   Sys_error message from open/read usually leads with the path already;
-   strip it rather than printing the file twice. *)
+(* A command fails by raising: the handler at the bottom prints
+   `error: <msg>` and exits 2, never a raw backtrace. *)
+let die fmt = Printf.ksprintf failwith fmt
+
+(* Every message names the file once: the Sys_error from open/read
+   usually leads with the path already. *)
 let read_text_file file =
   try Sap_io.Instance_io.read_file file
   with Sys_error m ->
-    let prefix = file ^ ": " in
-    let m =
-      if String.starts_with ~prefix m then
-        String.sub m (String.length prefix) (String.length m - String.length prefix)
-      else m
-    in
-    Printf.eprintf "error: %s: %s\n" file m;
-    exit 2
+    if String.starts_with ~prefix:(file ^ ": ") m then die "%s" m
+    else die "%s: %s" file m
+
+let ok_or_die = function Ok v -> v | Error m -> die "%s" m
+
+let parsed file = function Ok v -> v | Error m -> die "%s: %s" file m
 
 let read_instance file =
-  match Sap_io.Instance_io.instance_of_string (read_text_file file) with
-  | Ok v -> v
-  | Error m ->
-      Printf.eprintf "error: %s: %s\n" file m;
-      exit 2
+  parsed file (Sap_io.Instance_io.instance_of_string (read_text_file file))
 
 let read_solution ~tasks file =
-  match Sap_io.Instance_io.solution_of_string ~tasks (read_text_file file) with
-  | Ok v -> v
-  | Error m ->
-      Printf.eprintf "error: %s: %s\n" file m;
-      exit 2
+  parsed file (Sap_io.Instance_io.solution_of_string ~tasks (read_text_file file))
+
+let read_json file = parsed file (Obs.Json.of_string (read_text_file file))
+
+let load_corpus dir = parsed dir (Lab.Corpus.load ~dir)
 
 let output_string_to dest s =
   match dest with
   | None -> print_string s
   | Some file -> Sap_io.Instance_io.write_file file s
+
+(* A client writing to a peer that went away gets EPIPE, not a kill. *)
+let ignore_sigpipe () =
+  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
+(* SIGINT/SIGTERM request a stop: the self-pipe wakes the accept loop
+   immediately, it stops taking connections, every accepted request still
+   gets its response, and the caller drains — no abrupt kill mid-write. *)
+let stop_on_signals () =
+  let stop = Transport.stopper () in
+  if Sys.os_type = "Unix" then begin
+    let on_signal = Sys.Signal_handle (fun _ -> Transport.request_stop stop) in
+    Sys.set_signal Sys.sigint on_signal;
+    Sys.set_signal Sys.sigterm on_signal
+  end;
+  stop
 
 (* ---------- gen ---------- *)
 
@@ -63,9 +80,7 @@ let make_path ~profile ~edges ~capacity ~prng =
       Gen.Profiles.random_walk ~prng ~edges ~start:capacity
         ~max_step:(max 1 (capacity / 8))
         ~min_cap:(max 1 (capacity / 4))
-  | other ->
-      Printf.eprintf "error: unknown profile %S\n" other;
-      exit 2
+  | other -> die "unknown profile %S" other
 
 let make_tasks ~kind ~prng ~path ~n =
   match kind with
@@ -80,9 +95,7 @@ let make_tasks ~kind ~prng ~path ~n =
           ~max_object:(max 1 (Path.min_capacity path / 4))
       in
       ts
-  | other ->
-      Printf.eprintf "error: unknown workload kind %S\n" other;
-      exit 2
+  | other -> die "unknown workload kind %S" other
 
 let gen_cmd profile edges capacity kind n seed output =
   let prng = Util.Prng.create seed in
@@ -118,44 +131,35 @@ let instance_stats_json path tasks =
 let solve_cmd input algorithm output quiet seed parallel stats_json audit
     trace_chrome =
   let path, tasks = read_instance input in
+  let solver =
+    match Sap.Solvers.find algorithm with
+    | Some s -> s
+    | None ->
+        die "unknown algorithm %S (have: %s)" algorithm
+          (String.concat ", " Sap.Solvers.names)
+  in
   (* [combine] goes through [solve_report] so the audit can carry its
      per-part contributions; every other algorithm is its registry entry. *)
-  let combine_report = ref None in
-  let solve =
-    match Sap.Solvers.find algorithm with
-    | None ->
-        Printf.eprintf "error: unknown algorithm %S (have: %s)\n" algorithm
-          (String.concat ", " Sap.Solvers.names);
-        exit 2
-    | Some { Sap.Solvers.name = "combine"; _ } ->
-        fun path ts ->
-          let r =
-            Sap.Combine.solve_report
-              ~config:{ Sap.Combine.default_config with seed; parallel }
-              path ts
-          in
-          combine_report := Some r;
-          r.Sap.Combine.solution
-    | Some s -> s.Sap.Solvers.solve ~seed ~parallel
+  let report = ref None in
+  let solve path ts =
+    match solver.Sap.Solvers.name with
+    | "combine" ->
+        let r =
+          Sap.Combine.solve_report
+            ~config:{ Sap.Combine.default_config with seed; parallel }
+            path ts
+        in
+        report := Some r;
+        r.Sap.Combine.solution
+    | _ -> solver.Sap.Solvers.solve ~seed ~parallel path ts
   in
-  let collect = stats_json <> None || trace_chrome <> None in
-  if collect then Obs.Report.enable_all ();
+  if stats_json <> None || trace_chrome <> None then Obs.Report.enable_all ();
   let t0 = Obs.Clock.monotonic_seconds () in
   let sol = solve path tasks in
   let dt = Obs.Clock.monotonic_seconds () -. t0 in
-  (* Snapshot before the LP bound below runs more simplex iterations, and
-     before the audit's checker/ratio metrics land. *)
-  let solve_metrics =
-    match stats_json with
-    | None -> Obs.Json.Null
-    | Some _ -> Obs.Metrics.snapshot_json ()
-  in
-  let solve_spans =
-    match stats_json with None -> Obs.Json.Null | Some _ -> Obs.Trace.json ()
-  in
-  let chrome_trace =
-    match trace_chrome with None -> None | Some _ -> Some (Obs.Chrome_trace.of_current ())
-  in
+  (* The reports describe the solve alone: the checker, the LP bound and
+     the audit below run with collection off. *)
+  Obs.Report.disable_all ();
   (match Core.Checker.sap_feasible path sol with
   | Ok () -> ()
   | Error m ->
@@ -163,29 +167,7 @@ let solve_cmd input algorithm output quiet seed parallel stats_json audit
       exit 3);
   let lp_ub = Lp.Ufpp_lp.upper_bound path tasks in
   let weight = Core.Solution.sap_weight sol in
-  let audit_json =
-    match !combine_report with
-    | Some r ->
-        Sap.Combine.audit_json (Sap.Combine.audit ~lp_upper_bound:lp_ub path tasks r)
-    | None ->
-        (* Non-combine algorithms get the generic certificate: no
-           per-part contributions to report. *)
-        Obs.Json.Obj
-          [
-            ("upper_bound", Obs.Json.Float lp_ub);
-            ("bound_kind", Obs.Json.String "lp");
-            ("achieved_weight", Obs.Json.Float weight);
-            ("total_weight", Obs.Json.Float (Task.weight_of tasks));
-            ( "empirical_ratio",
-              if weight > 0.0 then Obs.Json.Float (lp_ub /. weight)
-              else Obs.Json.Null );
-            ( "checker",
-              Obs.Json.Obj
-                [ ("ok", Obs.Json.Bool true); ("error", Obs.Json.Null) ] );
-            ("scheduled", Obs.Json.Int (List.length sol));
-            ("tasks", Obs.Json.Int (List.length tasks));
-          ]
-  in
+  let a = Sap.Combine.audit ~lp_upper_bound:lp_ub ?report:!report path tasks sol in
   if not quiet then begin
     Printf.printf "tasks            %d\n" (List.length tasks);
     Printf.printf "scheduled        %d\n" (List.length sol);
@@ -196,56 +178,34 @@ let solve_cmd input algorithm output quiet seed parallel stats_json audit
   end;
   if audit then begin
     print_endline "--- audit ---";
-    match !combine_report with
-    | Some r ->
-        Format.printf "%a@." Sap.Combine.pp_audit
-          (Sap.Combine.audit ~lp_upper_bound:lp_ub path tasks r)
-    | None ->
-        Printf.printf "lp upper bound    %.3f\n" lp_ub;
-        Printf.printf "achieved weight   %.3f  (of %.3f total)\n" weight
-          (Task.weight_of tasks);
-        if weight > 0.0 then
-          Printf.printf "empirical ratio   %.3f\n" (lp_ub /. weight)
-        else print_endline "empirical ratio   n/a (zero weight scheduled)";
-        print_endline "checker           feasible"
+    Format.printf "%a@." Sap.Combine.pp_audit a
   end;
-  (match stats_json with
-  | None -> ()
-  | Some file ->
-      let report =
-        Obs.Json.Obj
-          [
-            ("schema", Obs.Json.String Obs.Report.schema_version);
-            ("clock", Obs.Clock.anchor_json (Obs.Clock.anchor ()));
-            ("command", Obs.Json.String "solve");
-            ("algorithm", Obs.Json.String algorithm);
-            ("seed", Obs.Json.Int seed);
-            ("instance", instance_stats_json path tasks);
-            ( "result",
-              Obs.Json.Obj
-                [
-                  ("scheduled", Obs.Json.Int (List.length sol));
-                  ("weight", Obs.Json.Float weight);
-                  ("total_weight", Obs.Json.Float (Task.weight_of tasks));
-                  ("lp_upper_bound", Obs.Json.Float lp_ub);
-                  ("time_seconds", Obs.Json.Float dt);
-                ] );
-            ("audit", audit_json);
-            ("metrics", solve_metrics);
-            ("spans", solve_spans);
-          ]
-      in
-      (try Obs.Report.write_file file report
-       with Sys_error m ->
-         Printf.eprintf "error: cannot write stats report: %s\n" m;
-         exit 2));
-  (match (trace_chrome, chrome_trace) with
-  | Some file, Some doc -> (
-      try Obs.Report.write_file file doc
-      with Sys_error m ->
-        Printf.eprintf "error: cannot write chrome trace: %s\n" m;
-        exit 2)
-  | _ -> ());
+  Option.iter
+    (fun file ->
+      Obs.Report.write_file file
+        (Obs.Report.build
+           ~extra:
+             [
+               ("command", Obs.Json.String "solve");
+               ("algorithm", Obs.Json.String algorithm);
+               ("seed", Obs.Json.Int seed);
+               ("instance", instance_stats_json path tasks);
+               ( "result",
+                 Obs.Json.Obj
+                   [
+                     ("scheduled", Obs.Json.Int (List.length sol));
+                     ("weight", Obs.Json.Float weight);
+                     ("total_weight", Obs.Json.Float (Task.weight_of tasks));
+                     ("lp_upper_bound", Obs.Json.Float lp_ub);
+                     ("time_seconds", Obs.Json.Float dt);
+                   ] );
+               ("audit", Sap.Combine.audit_json a);
+             ]
+           ()))
+    stats_json;
+  Option.iter
+    (fun file -> Obs.Report.write_file file (Obs.Chrome_trace.of_current ()))
+    trace_chrome;
   (match output with
   | None -> ()
   | Some file -> Sap_io.Instance_io.write_file file (Sap_io.Instance_io.solution_to_string sol));
@@ -255,35 +215,26 @@ let solve_cmd input algorithm output quiet seed parallel stats_json audit
 
 let bench_diff_cmd old_file new_file counter_tol float_tol time_factor ignores
     show_all =
-  let read_report file =
-    match Obs.Json.of_string (Sap_io.Instance_io.read_file file) with
-    | Ok v -> Ok v
-    | Error m -> Error (file ^ ": " ^ m)
-    | exception Sys_error m -> Error m
+  let old_report = read_json old_file in
+  let new_report = read_json new_file in
+  let thresholds =
+    { Obs.Diff.counter_tol; float_tol; time_factor; ignore_prefixes = ignores }
   in
-  match (read_report old_file, read_report new_file) with
-  | Error m, _ | _, Error m ->
-      Printf.eprintf "error: %s\n" m;
-      2
-  | Ok old_report, Ok new_report ->
-      let thresholds =
-        { Obs.Diff.counter_tol; float_tol; time_factor; ignore_prefixes = ignores }
-      in
-      let findings = Obs.Diff.compare_reports ~thresholds ~old_report ~new_report () in
-      let table = Obs.Diff.render_table ~show_all findings in
-      if table <> "" then print_string table;
-      print_endline (Obs.Diff.summary findings);
-      let failures =
-        List.filter (fun f -> Obs.Diff.is_failure f.Obs.Diff.status) findings
-      in
-      if failures = [] then begin
-        Printf.printf "bench-diff: OK (%s vs %s)\n" old_file new_file;
-        0
-      end
-      else begin
-        Printf.printf "bench-diff: %d regression(s)\n" (List.length failures);
-        1
-      end
+  let findings = Obs.Diff.compare_reports ~thresholds ~old_report ~new_report () in
+  let table = Obs.Diff.render_table ~show_all findings in
+  if table <> "" then print_string table;
+  print_endline (Obs.Diff.summary findings);
+  let failures =
+    List.filter (fun f -> Obs.Diff.is_failure f.Obs.Diff.status) findings
+  in
+  if failures = [] then begin
+    Printf.printf "bench-diff: OK (%s vs %s)\n" old_file new_file;
+    0
+  end
+  else begin
+    Printf.printf "bench-diff: %d regression(s)\n" (List.length failures);
+    1
+  end
 
 (* ---------- check ---------- *)
 
@@ -303,11 +254,7 @@ let check_cmd input solution_file =
 
 let show_cmd input solution_file max_height svg =
   let path, tasks = read_instance input in
-  let sol =
-    match solution_file with
-    | None -> None
-    | Some file -> Some (read_solution ~tasks file)
-  in
+  let sol = Option.map (read_solution ~tasks) solution_file in
   (match svg with
   | Some file ->
       let doc =
@@ -335,12 +282,6 @@ let stats_cmd input =
 
 (* ---------- serve ---------- *)
 
-module Server = Sap_server.Server
-module Transport = Sap_server.Transport
-module Client = Sap_server.Client
-module Proto = Sap_server.Protocol
-module Router = Sap_server.Router
-
 (* Log lines are emitted from many domains; one mutex serializes whole
    lines into the sink. *)
 let log_sink_of log =
@@ -362,39 +303,21 @@ let log_sink_of log =
 let serve_cmd socket stdio workers queue cache_capacity default_timeout_ms log
     quiet =
   (match (socket, stdio) with
-  | None, false ->
-      Printf.eprintf "error: serve needs --socket PATH or --stdio\n";
-      exit 2
-  | Some _, true ->
-      Printf.eprintf "error: --socket and --stdio are mutually exclusive\n";
-      exit 2
+  | None, false -> die "serve needs --socket PATH or --stdio"
+  | Some _, true -> die "--socket and --stdio are mutually exclusive"
   | _ -> ());
   (* Counters feed the in-band `stats` response, so collection is on for
      the server's whole lifetime (spans stay off: a long-running service
      must not accumulate an unbounded span tree). *)
   Obs.Metrics.enable ();
-  let log_sink = log_sink_of log in
   let config =
     { Server.workers; queue_capacity = queue; cache_capacity; default_timeout_ms;
-      log = log_sink }
+      log = log_sink_of log }
   in
   let server = Server.create ~config () in
   (match socket with
   | Some path ->
-      (* SIGINT/SIGTERM request a stop; the self-pipe wakes the accept
-         loop immediately, it stops taking connections, every accepted
-         request still gets its response, and the pool drains below — no
-         abrupt kill mid-write. *)
-      let stop = Transport.stopper () in
-      (match Sys.os_type with
-      | "Unix" ->
-          let on_signal =
-            Sys.Signal_handle (fun _ -> Transport.request_stop stop)
-          in
-          Sys.set_signal Sys.sigint on_signal;
-          Sys.set_signal Sys.sigterm on_signal
-      | _ -> ());
-      Transport.serve_unix ~stop
+      Transport.serve_unix ~stop:(stop_on_signals ())
         ~on_bound:(fun p ->
           if not quiet then Printf.eprintf "sap_cli serve: listening on %s\n%!" p)
         server ~socket_path:path
@@ -409,330 +332,110 @@ let serve_cmd socket stdio workers queue cache_capacity default_timeout_ms log
 
 let batch_cmd socket files algorithm seed timeout_ms no_cache output_dir
     want_stats shutdown quiet =
-  if files = [] && not want_stats then begin
-    Printf.eprintf "error: batch needs at least one instance file (or --stats)\n";
-    exit 2
-  end;
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
+  if files = [] && not want_stats then
+    die "batch needs at least one instance file (or --stats)";
+  ignore_sigpipe ();
   let instances = List.map (fun f -> (f, read_instance f)) files in
-  match Client.connect_unix socket with
-  | Error m ->
-      Printf.eprintf "error: cannot connect: %s\n" m;
-      2
-  | Ok fd ->
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let params =
-        { Proto.algorithm; seed; timeout_ms; cache = not no_cache }
-      in
-      let t0 = Obs.Clock.monotonic_seconds () in
-      let result =
-        Client.run_batch ~ic ~oc ~params ~request_stats:want_stats
-          ~request_shutdown:shutdown (List.map snd instances)
-      in
-      let dt = Obs.Clock.monotonic_seconds () -. t0 in
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      let ok = ref 0 and cached = ref 0 and failed = ref 0 in
-      List.iteri
-        (fun i (file, (_, tasks)) ->
-          match result.Client.responses.(i) with
-          | Some (Proto.Solved { summary; solution; _ }) ->
-              incr ok;
-              if summary.Proto.cached then incr cached;
-              if not quiet then
-                Printf.printf "ok       %s  scheduled=%d/%d weight=%.3f%s\n" file
-                  summary.Proto.scheduled (List.length tasks)
-                  summary.Proto.weight
-                  (if summary.Proto.cached then " (cached)" else "");
-              (match output_dir with
-              | None -> ()
-              | Some dir ->
-                  let out =
-                    Filename.concat dir (Filename.basename file ^ ".sol")
-                  in
-                  Sap_io.Instance_io.write_file out
-                    (Sap_io.Instance_io.solution_to_string solution))
-          | Some (Proto.Timed_out _) ->
-              incr failed;
-              Printf.printf "timeout  %s\n" file
-          | Some (Proto.Failed { code; message; _ }) ->
-              incr failed;
-              Printf.printf "error    %s  [%s] %s\n" file
-                (Proto.error_code_to_string code)
-                message
-          | Some _ ->
-              incr failed;
-              Printf.printf "error    %s  unexpected response kind\n" file
-          | None ->
-              incr failed;
-              Printf.printf "lost     %s  connection closed before response\n" file)
-        instances;
-      List.iter
-        (fun m -> Printf.eprintf "warning: %s\n" m)
-        result.Client.transport_errors;
-      if not quiet && files <> [] then
-        Printf.printf "batch: %d ok (%d cached), %d failed in %.3fs\n" !ok !cached
-          !failed dt;
-      (match result.Client.stats with
-      | Some stats -> print_endline (Obs.Json.to_string_pretty stats)
+  let fd =
+    match Client.connect_unix socket with
+    | Ok fd -> fd
+    | Error m -> die "cannot connect: %s" m
+  in
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let params = { Proto.algorithm; seed; timeout_ms; cache = not no_cache } in
+  let t0 = Obs.Clock.monotonic_seconds () in
+  let result =
+    Client.run_batch ~ic ~oc ~params ~request_stats:want_stats
+      ~request_shutdown:shutdown (List.map snd instances)
+  in
+  let dt = Obs.Clock.monotonic_seconds () -. t0 in
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  let ok = ref 0 and cached = ref 0 and failed = ref 0 in
+  List.iteri
+    (fun i (file, (_, tasks)) ->
+      match result.Client.responses.(i) with
+      | Some (Proto.Solved { summary; solution; _ }) ->
+          incr ok;
+          if summary.Proto.cached then incr cached;
+          if not quiet then
+            Printf.printf "ok       %s  scheduled=%d/%d weight=%.3f%s\n" file
+              summary.Proto.scheduled (List.length tasks) summary.Proto.weight
+              (if summary.Proto.cached then " (cached)" else "");
+          Option.iter
+            (fun dir ->
+              Sap_io.Instance_io.write_file
+                (Filename.concat dir (Filename.basename file ^ ".sol"))
+                (Sap_io.Instance_io.solution_to_string solution))
+            output_dir
+      | Some (Proto.Timed_out _) ->
+          incr failed;
+          Printf.printf "timeout  %s\n" file
+      | Some (Proto.Failed { code; message; _ }) ->
+          incr failed;
+          Printf.printf "error    %s  [%s] %s\n" file
+            (Proto.error_code_to_string code)
+            message
+      | Some _ ->
+          incr failed;
+          Printf.printf "error    %s  unexpected response kind\n" file
       | None ->
-          if want_stats then
-            Printf.eprintf "warning: no stats response received\n");
-      if shutdown && not result.Client.shutdown_acked then
-        Printf.eprintf "warning: shutdown not acknowledged\n";
-      if !failed = 0 && result.Client.transport_errors = [] then 0 else 1
+          incr failed;
+          Printf.printf "lost     %s  connection closed before response\n" file)
+    instances;
+  List.iter (Printf.eprintf "warning: %s\n") result.Client.transport_errors;
+  if not quiet && files <> [] then
+    Printf.printf "batch: %d ok (%d cached), %d failed in %.3fs\n" !ok !cached
+      !failed dt;
+  (match result.Client.stats with
+  | Some stats -> print_endline (Obs.Json.to_string_pretty stats)
+  | None -> if want_stats then Printf.eprintf "warning: no stats response received\n");
+  if shutdown && not result.Client.shutdown_acked then
+    Printf.eprintf "warning: shutdown not acknowledged\n";
+  if !failed = 0 && result.Client.transport_errors = [] then 0 else 1
 
 (* ---------- session ---------- *)
 
-(* Drive one online session over a socket: open, replay a churn trace as
-   add/remove deltas (a resize is remove + add under the same id),
-   resolve every N events, close.  Every returned solution is re-checked
-   client-side — the server already checker-verifies, so a failure here
-   means wire corruption, not a solver bug. *)
 let session_cmd socket input churn_file resolve_every cold seed output quiet =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  if resolve_every < 1 then begin
-    Printf.eprintf "error: --resolve-every must be >= 1\n";
-    exit 2
-  end;
+  ignore_sigpipe ();
+  if resolve_every < 1 then die "--resolve-every must be >= 1";
   let path, base, events =
     match (input, churn_file) with
-    | Some _, Some _ ->
-        Printf.eprintf "error: -i and --churn are mutually exclusive\n";
-        exit 2
-    | None, None ->
-        Printf.eprintf "error: session needs -i INSTANCE or --churn TRACE\n";
-        exit 2
+    | Some _, Some _ -> die "-i and --churn are mutually exclusive"
+    | None, None -> die "session needs -i INSTANCE or --churn TRACE"
     | Some file, None ->
         let path, tasks = read_instance file in
         (path, tasks, [])
-    | None, Some file -> (
-        match Lab.Corpus.churn_of_string (read_text_file file) with
-        | Ok c ->
-            (c.Lab.Corpus.churn_path, c.Lab.Corpus.churn_base, c.Lab.Corpus.churn_events)
-        | Error m ->
-            Printf.eprintf "error: %s: %s\n" file m;
-            exit 2)
+    | None, Some file ->
+        let c = parsed file (Lab.Corpus.churn_of_string (read_text_file file)) in
+        (c.Lab.Corpus.churn_path, c.Lab.Corpus.churn_base, c.Lab.Corpus.churn_events)
   in
-  match Client.connect_unix socket with
-  | Error m ->
-      Printf.eprintf "error: cannot connect: %s\n" m;
-      2
-  | Ok fd ->
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let live = Hashtbl.create 64 in
-      List.iter (fun (j : Task.t) -> Hashtbl.replace live j.Task.id j) base;
-      (* Solution bodies are parsed against the client's view of the
-         session task set as of the request — snapshotted per id. *)
-      let snapshots = Hashtbl.create 8 in
-      let tasks_for id = Hashtbl.find_opt snapshots id in
-      let next_id = ref 0 in
-      let fresh () =
-        let id = !next_id in
-        incr next_id;
-        id
-      in
-      let failures = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun m ->
-            incr failures;
-            Printf.eprintf "error: %s\n" m)
-          fmt
-      in
-      let deltas = ref 0 and resolves = ref 0 in
-      let solve_ms = ref 0.0 in
-      let warm = ref 0 and repacked = ref 0 and reused = ref 0 in
-      let last = ref None in
-      let request req =
-        let id = Proto.request_id req in
-        Hashtbl.replace snapshots id
-          (Hashtbl.fold (fun _ j acc -> j :: acc) live []);
-        let r = Client.request ~ic ~oc ~tasks_for req in
-        Hashtbl.remove snapshots id;
-        r
-      in
-      let record what (s : Proto.session_summary) solution =
-        (match Core.Checker.sap_feasible path solution with
-        | Ok () -> ()
-        | Error m -> fail "%s returned a checker-rejected solution: %s" what m);
-        incr resolves;
-        solve_ms := !solve_ms +. s.Proto.s_time_ms;
-        warm := !warm + s.Proto.s_warm;
-        repacked := !repacked + s.Proto.s_repacked;
-        reused := !reused + s.Proto.s_reused;
-        last := Some s;
-        if not quiet then
-          Printf.printf
-            "%-8s scheduled=%d/%d weight=%.3f bands=%d repacked=%d reused=%d \
-             warm=%d time=%.3fms\n"
-            what s.Proto.s_scheduled s.Proto.s_tasks s.Proto.s_weight
-            s.Proto.s_bands s.Proto.s_repacked s.Proto.s_reused s.Proto.s_warm
-            s.Proto.s_time_ms
-      in
-      let sid =
-        match
-          request (Proto.Session_open { id = fresh (); seed; path; tasks = base })
-        with
-        | Ok
-            (Proto.Session_reply
-              { session; event = Proto.Sess_opened; summary = Some s; solution; _ })
-          ->
-            record "open" s solution;
-            Some session
-        | Ok (Proto.Failed { code; message; _ }) ->
-            fail "open failed: [%s] %s" (Proto.error_code_to_string code) message;
-            None
-        | Ok _ ->
-            fail "open: unexpected response";
-            None
-        | Error m ->
-            fail "open: %s" m;
-            None
-      in
-      (match sid with
-      | None -> ()
-      | Some sid ->
-          let expect_ack what = function
-            | Ok (Proto.Session_reply { event = Proto.Sess_ack; _ }) -> ()
-            | Ok (Proto.Failed { code; message; _ }) ->
-                fail "%s failed: [%s] %s" what
-                  (Proto.error_code_to_string code)
-                  message
-            | Ok _ -> fail "%s: unexpected response" what
-            | Error m -> fail "%s: %s" what m
-          in
-          let add_task (j : Task.t) =
-            incr deltas;
-            Hashtbl.replace live j.Task.id j;
-            expect_ack "add-task"
-              (request (Proto.Session_add { id = fresh (); session = sid; task = j }))
-          in
-          let remove_task tid =
-            incr deltas;
-            Hashtbl.remove live tid;
-            expect_ack "remove-task"
-              (request
-                 (Proto.Session_remove { id = fresh (); session = sid; task_id = tid }))
-          in
-          let resolve () =
-            match
-              request (Proto.Session_resolve { id = fresh (); session = sid; cold })
-            with
-            | Ok
-                (Proto.Session_reply
-                  { event = Proto.Sess_resolved; summary = Some s; solution; _ }) ->
-                record "resolve" s solution
-            | Ok (Proto.Failed { code; message; _ }) ->
-                fail "resolve failed: [%s] %s"
-                  (Proto.error_code_to_string code)
-                  message
-            | Ok _ -> fail "resolve: unexpected response"
-            | Error m -> fail "resolve: %s" m
-          in
-          let pending = ref 0 in
-          List.iter
-            (fun ev ->
-              (match ev with
-              | Lab.Corpus.Churn_add j -> add_task j
-              | Lab.Corpus.Churn_remove tid -> remove_task tid
-              | Lab.Corpus.Churn_resize (tid, demand) -> (
-                  match Hashtbl.find_opt live tid with
-                  | None -> fail "resize of unknown task %d" tid
-                  | Some j ->
-                      remove_task tid;
-                      add_task
-                        (Task.make ~id:tid ~first_edge:j.Task.first_edge
-                           ~last_edge:j.Task.last_edge ~demand
-                           ~weight:j.Task.weight)));
-              incr pending;
-              if !pending >= resolve_every then begin
-                pending := 0;
-                resolve ()
-              end)
-            events;
-          if !pending > 0 || events = [] then resolve ();
-          (match
-             request (Proto.Session_close { id = fresh (); session = sid })
-           with
-          | Ok (Proto.Session_reply { event = Proto.Sess_closed; _ }) -> ()
-          | Ok (Proto.Failed { code; message; _ }) ->
-              fail "close failed: [%s] %s"
-                (Proto.error_code_to_string code)
-                message
-          | Ok _ -> fail "close: unexpected response"
-          | Error m -> fail "close: %s" m));
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      if not quiet then
-        Printf.printf
-          "session: %d events, %d deltas, %d resolves (%s), %.3fms total solve, \
-           %d warm-seeded, %d repacked, %d reused, %d failures\n"
-          (List.length events) !deltas !resolves
-          (if cold then "cold" else "warm")
-          !solve_ms !warm !repacked !reused !failures;
-      (match output with
-      | None -> ()
-      | Some file ->
-          let scheduled, weight =
-            match !last with
-            | Some s -> (s.Proto.s_scheduled, s.Proto.s_weight)
-            | None -> (0, 0.0)
-          in
-          let json =
-            Obs.Json.Obj
-              [
-                ("schema", Obs.Json.String "sap-session-report v1");
-                ("cold", Obs.Json.Bool cold);
-                ("events", Obs.Json.Int (List.length events));
-                ("deltas", Obs.Json.Int !deltas);
-                ("resolves", Obs.Json.Int !resolves);
-                ("solve_ms", Obs.Json.Float !solve_ms);
-                ("warm_seeded", Obs.Json.Int !warm);
-                ("bands_repacked", Obs.Json.Int !repacked);
-                ("bands_reused", Obs.Json.Int !reused);
-                ("final_scheduled", Obs.Json.Int scheduled);
-                ("final_weight", Obs.Json.Float weight);
-                ("failures", Obs.Json.Int !failures);
-              ]
-          in
-          Sap_io.Instance_io.write_file file
-            (Obs.Json.to_string_pretty json ^ "\n"));
-      if !failures = 0 then 0 else 1
+  let r =
+    ok_or_die
+      (Lab.Loadgen.session
+         ~connect:(fun () -> Client.connect_unix socket)
+         ~seed ~cold ~resolve_every path base events)
+  in
+  List.iter (Printf.eprintf "error: %s\n") r.Lab.Loadgen.se_failures;
+  if not quiet then Format.printf "%a" Lab.Loadgen.pp_session r;
+  Option.iter (fun f -> Obs.Report.write_file f (Lab.Loadgen.session_json r)) output;
+  if r.Lab.Loadgen.se_failures = [] then 0 else 1
 
 (* ---------- route ---------- *)
 
 let route_cmd socket shards shard_sockets shard_dir vnodes shard_workers
     shard_queue shard_cache shard_timeout_ms log quiet =
   Obs.Metrics.enable ();
-  (match (shards, shard_sockets) with
-  | None, [] ->
-      Printf.eprintf "error: route needs --shards N or --shard PATH\n";
-      exit 2
-  | Some _, _ :: _ ->
-      Printf.eprintf "error: --shards and --shard are mutually exclusive\n";
-      exit 2
-  | Some n, [] when n < 1 ->
-      Printf.eprintf "error: --shards must be >= 1\n";
-      exit 2
-  | _ -> ());
+  let endpoint i ep_socket ep_spawn =
+    { Router.ep_name = Printf.sprintf "shard-%d" i; ep_socket; ep_spawn }
+  in
   let endpoints =
-    match shard_sockets with
-    | _ :: _ ->
-        List.mapi
-          (fun i path ->
-            {
-              Router.ep_name = Printf.sprintf "shard-%d" i;
-              ep_socket = path;
-              ep_spawn = None;
-            })
-          shard_sockets
-    | [] ->
-        let n = Option.get shards in
+    match (shards, shard_sockets) with
+    | None, [] -> die "route needs --shards N or --shard PATH"
+    | Some _, _ :: _ -> die "--shards and --shard are mutually exclusive"
+    | Some n, [] when n < 1 -> die "--shards must be >= 1"
+    | None, _ -> List.mapi (fun i path -> endpoint i path None) shard_sockets
+    | Some n, [] ->
         let dir =
           match shard_dir with
           | Some d ->
@@ -748,122 +451,45 @@ let route_cmd socket shards shard_sockets shard_dir vnodes shard_workers
         (* Children are respawned with the same argv, so build it once
            per endpoint and keep it pure. *)
         let exe = Sys.executable_name in
+        let flag name = Option.fold ~none:[] ~some:(fun v -> [ name; string_of_int v ]) in
+        let args sock =
+          [ exe; "serve"; "--socket"; sock; "-q" ]
+          @ flag "--workers" shard_workers
+          @ flag "--queue" shard_queue
+          @ [ "--cache-capacity"; string_of_int shard_cache ]
+          @ flag "--default-timeout-ms" shard_timeout_ms
+        in
+        let spawn sock =
+          Unix.create_process exe (Array.of_list (args sock)) Unix.stdin
+            Unix.stdout Unix.stderr
+        in
         List.init n (fun i ->
-            let name = Printf.sprintf "shard-%d" i in
-            let spawn sock =
-              let args =
-                [ exe; "serve"; "--socket"; sock; "-q" ]
-                @ (match shard_workers with
-                  | Some w -> [ "--workers"; string_of_int w ]
-                  | None -> [])
-                @ (match shard_queue with
-                  | Some q -> [ "--queue"; string_of_int q ]
-                  | None -> [])
-                @ [ "--cache-capacity"; string_of_int shard_cache ]
-                @
-                match shard_timeout_ms with
-                | Some ms -> [ "--default-timeout-ms"; string_of_int ms ]
-                | None -> []
-              in
-              Unix.create_process exe (Array.of_list args) Unix.stdin
-                Unix.stdout Unix.stderr
-            in
-            {
-              Router.ep_name = name;
-              ep_socket = Filename.concat dir (name ^ ".sock");
-              ep_spawn = Some spawn;
-            })
+            endpoint i (Filename.concat dir (Printf.sprintf "shard-%d.sock" i))
+              (Some spawn))
   in
-  let config =
-    { Router.default_config with Router.vnodes; log = log_sink_of log }
-  in
-  match Router.create ~config endpoints with
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      2
-  | Ok router ->
-      let stop = Transport.stopper () in
-      (match Sys.os_type with
-      | "Unix" ->
-          let on_signal =
-            Sys.Signal_handle (fun _ -> Transport.request_stop stop)
-          in
-          Sys.set_signal Sys.sigint on_signal;
-          Sys.set_signal Sys.sigterm on_signal
-      | _ -> ());
-      Router.serve ~stop router
-        ~on_bound:(fun p ->
-          if not quiet then
-            Printf.eprintf "sap_cli route: %d shard(s), listening on %s\n%!"
-              (List.length endpoints) p)
-        ~socket_path:socket;
-      Router.shutdown router;
-      if not quiet then Printf.eprintf "sap_cli route: drained, exiting\n%!";
-      0
+  let config = { Router.vnodes; log = log_sink_of log } in
+  let router = ok_or_die (Router.create ~config endpoints) in
+  Router.serve ~stop:(stop_on_signals ()) router
+    ~on_bound:(fun p ->
+      if not quiet then
+        Printf.eprintf "sap_cli route: %d shard(s), listening on %s\n%!"
+          (List.length endpoints) p)
+    ~socket_path:socket;
+  Router.shutdown router;
+  if not quiet then Printf.eprintf "sap_cli route: drained, exiting\n%!";
+  0
 
 (* ---------- loadgen ---------- *)
 
 let parse_sweep_spec s =
-  match String.split_on_char ':' s with
-  | [ lo; hi; step ] -> (
-      match
-        (float_of_string_opt lo, float_of_string_opt hi, float_of_string_opt step)
-      with
-      | Some lo, Some hi, Some step -> Ok (lo, hi, step)
-      | _ -> Error "sweep spec must be LO:HI:STEP (numbers)")
-  | _ -> Error "sweep spec must be LO:HI:STEP"
-
-let loadgen_sweep_cmd socket cfg spec threshold output quiet =
-  match parse_sweep_spec spec with
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      2
-  | Ok (lo, hi, step) -> (
-      match
-        Lab.Loadgen.sweep
-          ~connect:(fun () -> Client.connect_unix socket)
-          ~threshold ~lo ~hi ~step cfg
-      with
-      | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          2
-      | Ok sw ->
-          let open Lab.Loadgen in
-          let json = sweep_json sw in
-          (match output with
-          | Some f -> Obs.Report.write_file f json
-          | None -> print_endline (Obs.Json.to_string_pretty json));
-          if not quiet then begin
-            List.iter
-              (fun (offered, r) ->
-                Printf.eprintf
-                  "sweep: offered %.1f rps -> achieved %.1f rps (p99 %.3fms, %d lost)%s\n"
-                  offered r.achieved_rps
-                  (1000.0 *. Obs.Metrics.quantile r.latency 0.99)
-                  r.lost
-                  (if r.achieved_rps < threshold *. offered then "  [saturated]"
-                   else ""))
-              sw.sw_points;
-            match sw.sw_knee with
-            | Some k -> Printf.eprintf "sweep: saturation knee at %.1f rps\n" k
-            | None ->
-                Printf.eprintf
-                  "sweep: no knee found (already saturated at %.1f rps)\n" lo
-          end;
-          let bad (_, r) = r.lost > 0 || r.protocol_errors <> [] in
-          List.iter
-            (fun (_, r) ->
-              List.iter
-                (fun m -> Printf.eprintf "warning: %s\n" m)
-                r.protocol_errors)
-            sw.sw_points;
-          if List.exists bad sw.sw_points then 1 else 0)
+  match List.map float_of_string_opt (String.split_on_char ':' s) with
+  | [ Some lo; Some hi; Some step ] -> (lo, hi, step)
+  | [ _; _; _ ] -> die "sweep spec must be LO:HI:STEP (numbers)"
+  | _ -> die "sweep spec must be LO:HI:STEP"
 
 let loadgen_cmd socket rps duration connections profile distinct algorithm seed
-    timeout_ms no_cache no_scrape sweep sweep_threshold output quiet =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
+    timeout_ms no_cache no_scrape sweep_spec sweep_threshold output quiet =
+  ignore_sigpipe ();
   let cfg =
     {
       Lab.Loadgen.rps;
@@ -878,39 +504,61 @@ let loadgen_cmd socket rps duration connections profile distinct algorithm seed
       scrape_stats = not no_scrape;
     }
   in
-  match sweep with
-  | Some spec -> loadgen_sweep_cmd socket cfg spec sweep_threshold output quiet
-  | None -> (
-  match Lab.Loadgen.run ~connect:(fun () -> Client.connect_unix socket) cfg with
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      2
-  | Ok r ->
-      let open Lab.Loadgen in
-      let json = report_json r in
-      (match output with
-      | Some f -> Obs.Report.write_file f json
-      | None -> print_endline (Obs.Json.to_string_pretty json));
-      if not quiet then begin
-        let ms p = 1000.0 *. Obs.Metrics.quantile r.latency p in
-        Printf.eprintf
-          "loadgen: offered %.1f rps, achieved %.1f rps over %.2fs\n" r.offered_rps
-          r.achieved_rps r.elapsed;
-        Printf.eprintf
-          "  requests: %d sent, %d completed (%d solved, %d cached, %d timeouts, %d errors, %d lost)\n"
-          r.sent r.completed r.solved r.cached r.timeouts r.errors r.lost;
-        if r.completed > 0 then
-          Printf.eprintf "  latency: p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n"
-            (ms 0.5) (ms 0.95) (ms 0.99)
-            (1000.0 *. r.latency.Obs.Metrics.max);
-        (match cache_hit_rate r with
-        | Some h -> Printf.eprintf "  cache hit rate: %.1f%%\n" (100.0 *. h)
-        | None -> ());
-        if r.server_stats <> None then
-          Printf.eprintf "  stats scrape: ok (mid-run snapshot in report)\n"
-      end;
-      List.iter (fun m -> Printf.eprintf "warning: %s\n" m) r.protocol_errors;
-      if r.protocol_errors = [] && r.lost = 0 then 0 else 1)
+  let connect () = Client.connect_unix socket in
+  let open Lab.Loadgen in
+  (* A sweep is a list of runs: both report JSON, then summarize on
+     stderr, and fail on any lost request or protocol error. *)
+  let json, summarize, runs =
+    match sweep_spec with
+    | Some spec ->
+        let lo, hi, step = parse_sweep_spec spec in
+        let sw =
+          ok_or_die (sweep ~connect ~threshold:sweep_threshold ~lo ~hi ~step cfg)
+        in
+        let summarize () =
+          List.iter
+            (fun (offered, r) ->
+              Printf.eprintf
+                "sweep: offered %.1f rps -> achieved %.1f rps (p99 %.3fms, %d lost)%s\n"
+                offered r.achieved_rps
+                (1000.0 *. Obs.Metrics.quantile r.latency 0.99)
+                r.lost
+                (if r.achieved_rps < sweep_threshold *. offered then "  [saturated]"
+                 else ""))
+            sw.sw_points;
+          match sw.sw_knee with
+          | Some k -> Printf.eprintf "sweep: saturation knee at %.1f rps\n" k
+          | None ->
+              Printf.eprintf "sweep: no knee found (already saturated at %.1f rps)\n" lo
+        in
+        (sweep_json sw, summarize, List.map snd sw.sw_points)
+    | None ->
+        let r = ok_or_die (run ~connect cfg) in
+        let summarize () =
+          let ms p = 1000.0 *. Obs.Metrics.quantile r.latency p in
+          Printf.eprintf "loadgen: offered %.1f rps, achieved %.1f rps over %.2fs\n"
+            r.offered_rps r.achieved_rps r.elapsed;
+          Printf.eprintf
+            "  requests: %d sent, %d completed (%d solved, %d cached, %d timeouts, %d errors, %d lost)\n"
+            r.sent r.completed r.solved r.cached r.timeouts r.errors r.lost;
+          if r.completed > 0 then
+            Printf.eprintf "  latency: p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n"
+              (ms 0.5) (ms 0.95) (ms 0.99)
+              (1000.0 *. r.latency.Obs.Metrics.max);
+          Option.iter
+            (fun h -> Printf.eprintf "  cache hit rate: %.1f%%\n" (100.0 *. h))
+            (cache_hit_rate r);
+          if r.server_stats <> None then
+            Printf.eprintf "  stats scrape: ok (mid-run snapshot in report)\n"
+        in
+        (report_json r, summarize, [ r ])
+  in
+  (match output with
+  | Some f -> Obs.Report.write_file f json
+  | None -> print_endline (Obs.Json.to_string_pretty json));
+  if not quiet then summarize ();
+  List.iter (fun r -> List.iter (Printf.eprintf "warning: %s\n") r.protocol_errors) runs;
+  if List.exists (fun r -> r.lost > 0 || r.protocol_errors <> []) runs then 1 else 0
 
 (* ---------- lab ---------- *)
 
@@ -920,48 +568,33 @@ let lab_gen_cmd dir seed variants churn =
     (List.length t.Lab.Corpus.entries)
     (List.length Lab.Corpus.families)
     seed Lab.Corpus.manifest_file dir;
-  (match churn with
-  | None -> ()
-  | Some steps ->
-      if steps < 0 then begin
-        Printf.eprintf "error: --churn must be >= 0\n";
-        exit 2
-      end;
+  Option.iter
+    (fun steps ->
+      if steps < 0 then die "--churn must be >= 0";
       let c = Lab.Corpus.generate_churn ~seed ~steps in
       let file = Filename.concat dir "churn.trace" in
       Sap_io.Instance_io.write_file file (Lab.Corpus.churn_to_string c);
       Printf.printf "wrote churn trace (%d base tasks, %d events, seed %d) to %s\n"
         (List.length c.Lab.Corpus.churn_base)
         (List.length c.Lab.Corpus.churn_events)
-        seed file);
+        seed file)
+    churn;
   0
 
 let lab_run_cmd dir output max_nodes jobs gate quiet =
-  match Lab.Corpus.load ~dir with
-  | Error m ->
-      Printf.eprintf "error: %s: %s\n" dir m;
-      2
-  | Ok corpus ->
-      Obs.Metrics.enable ();
-      let report = Lab.Ratio.run ?max_nodes ?jobs corpus in
-      if not quiet then Format.printf "%a" Lab.Ratio.pp_summary report;
-      (match output with
-      | None -> ()
-      | Some file -> (
-          try
-            Sap_io.Instance_io.write_file file
-              (Obs.Json.to_string_pretty (Lab.Ratio.report_json report) ^ "\n")
-          with Sys_error m ->
-            Printf.eprintf "error: cannot write ratio report: %s\n" m;
-            exit 2));
-      if gate && (report.Lab.Ratio.violations > 0 || report.Lab.Ratio.disagreements > 0)
-      then begin
-        Printf.printf
-          "lab run: GATE FAILED (%d bound violations, %d oracle disagreements)\n"
-          report.Lab.Ratio.violations report.Lab.Ratio.disagreements;
-        1
-      end
-      else 0
+  let corpus = load_corpus dir in
+  Obs.Metrics.enable ();
+  let report = Lab.Ratio.run ?max_nodes ?jobs corpus in
+  if not quiet then Format.printf "%a" Lab.Ratio.pp_summary report;
+  Option.iter (fun f -> Obs.Report.write_file f (Lab.Ratio.report_json report)) output;
+  if gate && (report.Lab.Ratio.violations > 0 || report.Lab.Ratio.disagreements > 0)
+  then begin
+    Printf.printf
+      "lab run: GATE FAILED (%d bound violations, %d oracle disagreements)\n"
+      report.Lab.Ratio.violations report.Lab.Ratio.disagreements;
+    1
+  end
+  else 0
 
 let lab_hunt_cmd alg seed generations population budget hof_size jobs output
     hof_dir quiet =
@@ -979,87 +612,54 @@ let lab_hunt_cmd alg seed generations population budget hof_size jobs output
   in
   let report = Lab.Hunt.run ?jobs config in
   if not quiet then Format.printf "%a" Lab.Hunt.pp_summary report;
-  (match output with
-  | None -> ()
-  | Some file -> (
-      try
-        Sap_io.Instance_io.write_file file
-          (Obs.Json.to_string_pretty (Lab.Hunt.report_json report) ^ "\n")
-      with Sys_error m ->
-        Printf.eprintf "error: cannot write hunt report: %s\n" m;
-        exit 2));
-  (match hof_dir with
-  | None -> ()
-  | Some dir ->
+  Option.iter (fun f -> Obs.Report.write_file f (Lab.Hunt.report_json report)) output;
+  Option.iter
+    (fun dir ->
       let files = Lab.Hunt.write_hof ~dir report in
-      if not quiet then
-        List.iter (fun f -> Printf.printf "wrote %s/%s\n" dir f) files);
+      if not quiet then List.iter (fun f -> Printf.printf "wrote %s/%s\n" dir f) files)
+    hof_dir;
   0
 
 let lab_worst_cmd report_file top =
-  match Obs.Json.of_string (read_text_file report_file) with
-  | Error m ->
-      Printf.eprintf "error: %s: %s\n" report_file m;
-      2
-  | Ok json -> (
-      let field name = function
-        | Obs.Json.Obj fields -> List.assoc_opt name fields
-        | _ -> None
-      in
-      match (field "schema" json, field "measurements" json) with
-      | Some (Obs.Json.String schema), Some (Obs.Json.List ms)
-        when schema = "sap-ratio v1" ->
-          let str name m =
-            match field name m with Some (Obs.Json.String s) -> s | _ -> "?"
-          in
-          let num name m =
-            match field name m with
-            | Some (Obs.Json.Float f) -> Some f
-            | Some (Obs.Json.Int i) -> Some (float_of_int i)
-            | _ -> None
-          in
-          let rows =
-            List.filter_map
-              (fun m ->
-                Option.map
-                  (fun r ->
-                    ( r,
-                      str "file" m,
-                      str "family" m,
-                      str "alg" m,
-                      Option.value ~default:Float.nan (num "bound" m),
-                      str "bound_kind" m ))
-                  (num "ratio" m))
-              ms
-            |> List.sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) ->
-                   Float.compare b a)
-          in
-          let shown = List.filteri (fun i _ -> i < top) rows in
-          Printf.printf "%-8s %9s %7s %-6s %-18s %s\n" "alg" "ratio" "bound"
-            "opt" "family" "file";
-          List.iter
-            (fun (r, file, family, alg, bound, kind) ->
-              Printf.printf "%-8s %9.4f %7.2f %-6s %-18s %s\n" alg r bound kind
-                family file)
-            shown;
-          0
-      | _ ->
-          Printf.eprintf "error: %s: not a sap-ratio v1 report\n" report_file;
-          2)
+  let field name = function
+    | Obs.Json.Obj fields -> List.assoc_opt name fields
+    | _ -> None
+  in
+  let ms =
+    let json = read_json report_file in
+    match (field "schema" json, field "measurements" json) with
+    | Some (Obs.Json.String "sap-ratio v1"), Some (Obs.Json.List ms) -> ms
+    | _ -> die "%s: not a sap-ratio v1 report" report_file
+  in
+  let str name m = match field name m with Some (Obs.Json.String s) -> s | _ -> "?" in
+  let num name m =
+    match field name m with
+    | Some (Obs.Json.Float f) -> Some f
+    | Some (Obs.Json.Int i) -> Some (float_of_int i)
+    | _ -> None
+  in
+  let rows =
+    List.filter_map (fun m -> Option.map (fun r -> (r, m)) (num "ratio" m)) ms
+    |> List.sort (fun (a, _) (b, _) -> Float.compare b a)
+  in
+  Printf.printf "%-8s %9s %7s %-6s %-18s %s\n" "alg" "ratio" "bound" "opt" "family"
+    "file";
+  List.iteri
+    (fun i (r, m) ->
+      if i < top then
+        Printf.printf "%-8s %9.4f %7.2f %-6s %-18s %s\n" (str "alg" m) r
+          (Option.value ~default:Float.nan (num "bound" m))
+          (str "bound_kind" m) (str "family" m) (str "file" m))
+    rows;
+  0
 
 (* ---------- round ---------- *)
 
 let read_round_instance file =
-  match Sap_io.Instance_io.round_instance_of_string (read_text_file file) with
-  | Error m ->
-      Printf.eprintf "error: %s: %s\n" file m;
-      exit 2
-  | Ok (path, tasks) -> (
-      match Round.Instance.create path tasks with
-      | Ok inst -> inst
-      | Error m ->
-          Printf.eprintf "error: %s: %s\n" file m;
-          exit 2)
+  let path, tasks =
+    parsed file (Sap_io.Instance_io.round_instance_of_string (read_text_file file))
+  in
+  parsed file (Round.Instance.create path tasks)
 
 let round_gen_cmd dir seed variants =
   let t = Lab.Corpus.generate_round ~dir ~seed ~variants () in
@@ -1071,92 +671,112 @@ let round_gen_cmd dir seed variants =
 
 let round_solve_cmd input algorithm output quiet =
   let inst = read_round_instance input in
-  match Round.Solvers.find algorithm with
-  | None ->
-      Printf.eprintf "error: unknown round algorithm %S (have: %s)\n" algorithm
-        (String.concat ", " Round.Solvers.names);
-      2
-  | Some s ->
-      let t0 = Obs.Clock.monotonic_seconds () in
-      let rounds = s.Round.Solvers.solve inst in
-      let dt = (Obs.Clock.monotonic_seconds () -. t0) *. 1000.0 in
-      (match Round.Checker.check inst rounds with
-      | Error m ->
-          Printf.eprintf "error: %s produced an infeasible packing: %s\n"
-            algorithm m;
-          1
-      | Ok () ->
-          if not quiet then
-            Printf.printf
-              "%s: %d tasks into %d rounds (certified LB %d) in %.1f ms\n"
-              algorithm
-              (Round.Instance.task_count inst)
-              (List.length rounds)
-              (Round.Lower_bound.certified inst)
-              dt;
-          output_string_to output
-            (Sap_io.Instance_io.round_solution_to_string rounds);
-          0)
+  let solver =
+    match Round.Solvers.find algorithm with
+    | Some s -> s
+    | None ->
+        die "unknown round algorithm %S (have: %s)" algorithm
+          (String.concat ", " Round.Solvers.names)
+  in
+  let t0 = Obs.Clock.monotonic_seconds () in
+  let rounds = solver.Round.Solvers.solve inst in
+  let dt = (Obs.Clock.monotonic_seconds () -. t0) *. 1000.0 in
+  match Round.Checker.check inst rounds with
+  | Error m ->
+      Printf.eprintf "error: %s produced an infeasible packing: %s\n" algorithm m;
+      1
+  | Ok () ->
+      if not quiet then
+        Printf.printf "%s: %d tasks into %d rounds (certified LB %d) in %.1f ms\n"
+          algorithm
+          (Round.Instance.task_count inst)
+          (List.length rounds)
+          (Round.Lower_bound.certified inst)
+          dt;
+      output_string_to output (Sap_io.Instance_io.round_solution_to_string rounds);
+      0
 
 let round_check_cmd input solution_file =
   let inst = read_round_instance input in
-  match
-    Sap_io.Instance_io.round_solution_of_string
-      ~tasks:inst.Round.Instance.tasks
-      (read_text_file solution_file)
-  with
+  let rounds =
+    parsed solution_file
+      (Sap_io.Instance_io.round_solution_of_string ~tasks:inst.Round.Instance.tasks
+         (read_text_file solution_file))
+  in
+  match Round.Checker.check inst rounds with
+  | Ok () ->
+      Printf.printf "OK: %d tasks packed into %d rounds\n"
+        (Round.Instance.task_count inst)
+        (List.length rounds);
+      0
   | Error m ->
-      Printf.eprintf "error: %s: %s\n" solution_file m;
-      exit 2
-  | Ok rounds -> (
-      match Round.Checker.check inst rounds with
-      | Ok () ->
-          Printf.printf "OK: %d tasks packed into %d rounds\n"
-            (Round.Instance.task_count inst)
-            (List.length rounds);
-          0
-      | Error m ->
-          Printf.printf "INFEASIBLE: %s\n" m;
-          1)
+      Printf.printf "INFEASIBLE: %s\n" m;
+      1
 
 let round_lab_cmd dir output max_nodes gate quiet =
-  match Lab.Corpus.load ~dir with
-  | Error m ->
-      Printf.eprintf "error: %s: %s\n" dir m;
-      2
-  | Ok corpus ->
-      Obs.Metrics.enable ();
-      let report = Lab.Round_lab.run ?max_nodes corpus in
-      if not quiet then Format.printf "%a" Lab.Round_lab.pp_summary report;
-      (match output with
-      | None -> ()
-      | Some file -> (
-          try
-            Sap_io.Instance_io.write_file file
-              (Obs.Json.to_string_pretty (Lab.Round_lab.report_json report)
-              ^ "\n")
-          with Sys_error m ->
-            Printf.eprintf "error: cannot write round report: %s\n" m;
-            exit 2));
-      if gate then
-        match Lab.Round_lab.gate_failures report with
-        | [] -> 0
-        | fails ->
-            Printf.printf "round lab: GATE FAILED (%s)\n"
-              (String.concat "; " fails);
-            1
-      else 0
+  let corpus = load_corpus dir in
+  Obs.Metrics.enable ();
+  let report = Lab.Round_lab.run ?max_nodes corpus in
+  if not quiet then Format.printf "%a" Lab.Round_lab.pp_summary report;
+  Option.iter
+    (fun f -> Obs.Report.write_file f (Lab.Round_lab.report_json report))
+    output;
+  if gate then
+    match Lab.Round_lab.gate_failures report with
+    | [] -> 0
+    | fails ->
+        Printf.printf "round lab: GATE FAILED (%s)\n" (String.concat "; " fails);
+        1
+  else 0
 
 (* ---------- cmdliner plumbing ---------- *)
 
 open Cmdliner
 
-let input_arg =
-  Arg.(required & opt (some string) None & info [ "i"; "input" ] ~doc:"Instance file.")
+(* One constructor per flag that several commands take; each command
+   keeps its own help text. *)
+let quiet_arg doc = Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
 
-let algorithm_arg =
-  Arg.(value & opt string "combine"
-       & info [ "algorithm"; "a" ] ~doc:(String.concat " | " Sap.Solvers.names))
+let output_arg doc = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc)
+
+let seed_arg doc = Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+
+let socket_opt doc = Arg.(opt (some string) None & info [ "socket" ] ~doc)
+
+let solution_opt doc = Arg.(opt (some string) None & info [ "s"; "solution" ] ~doc)
+
+let log_arg doc = Arg.(value & opt (some string) None & info [ "log" ] ~doc)
+
+let max_nodes_arg doc = Arg.(value & opt (some int) None & info [ "max-nodes" ] ~doc)
+
+let gate_arg doc = Arg.(value & flag & info [ "gate" ] ~doc)
+
+let jobs_arg doc = Arg.(value & opt (some int) None & info [ "jobs" ] ~doc)
+
+let timeout_ms_arg doc = Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~doc)
+
+let input_opt doc = Arg.(opt (some string) None & info [ "i"; "input" ] ~doc)
+
+let input_arg = Arg.required (input_opt "Instance file.")
+
+(* The default and the doc's list come from the problem's registry. *)
+let algorithm_arg default names =
+  Arg.(value & opt string default
+       & info [ "algorithm"; "a" ] ~doc:(String.concat " | " names))
+
+let no_cache_arg =
+  Arg.(value & flag & info [ "no-cache" ] ~doc:"Bypass the server's solution cache.")
+
+let corpus_arg =
+  Arg.(required & opt (some string) None
+       & info [ "corpus" ] ~doc:"Corpus directory holding a manifest.txt.")
+
+let dir_arg =
+  Arg.(required & opt (some string) None
+       & info [ "dir" ] ~doc:"Corpus directory (created if missing).")
+
+let variants_arg =
+  Arg.(value & opt int 3 & info [ "variants" ] ~doc:"Instances per family.")
 
 let gen_term =
   let profile =
@@ -1172,21 +792,10 @@ let gen_term =
          & info [ "kind" ] ~doc:"mixed | small | medium | large | memory")
   in
   let n = Arg.(value & opt int 30 & info [ "tasks" ] ~doc:"Number of tasks.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file.")
-  in
-  Term.(const gen_cmd $ profile $ edges $ capacity $ kind $ n $ seed $ output)
+  Term.(const gen_cmd $ profile $ edges $ capacity $ kind $ n $ seed_arg "PRNG seed."
+        $ output_arg "Output file.")
 
 let solve_term =
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Solution file.")
-  in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No stats on stdout.") in
-  let seed =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~doc:"PRNG seed for randomized engines (LP rounding).")
-  in
   let parallel =
     Arg.(value & flag
          & info [ "parallel" ]
@@ -1215,7 +824,10 @@ let solve_term =
                    load it in chrome://tracing or ui.perfetto.dev.  Worker \
                    domains appear as separate tracks.")
   in
-  Term.(const solve_cmd $ input_arg $ algorithm_arg $ output $ quiet $ seed $ parallel
+  Term.(const solve_cmd $ input_arg $ algorithm_arg "combine" Sap.Solvers.names
+        $ output_arg "Solution file."
+        $ quiet_arg "No stats on stdout."
+        $ seed_arg "PRNG seed for randomized engines (LP rounding)." $ parallel
         $ stats_json $ audit $ trace_chrome)
 
 let bench_diff_term =
@@ -1260,24 +872,19 @@ let bench_diff_term =
         $ time_factor $ ignores $ show_all)
 
 let check_term =
-  let sol = Arg.(required & opt (some string) None & info [ "s"; "solution" ] ~doc:"Solution file.") in
-  Term.(const check_cmd $ input_arg $ sol)
+  Term.(const check_cmd $ input_arg $ Arg.required (solution_opt "Solution file."))
 
 let show_term =
-  let sol = Arg.(value & opt (some string) None & info [ "s"; "solution" ] ~doc:"Solution file.") in
   let max_height =
     Arg.(value & opt (some int) None & info [ "max-height" ] ~doc:"Clip rendering height.")
   in
   let svg =
     Arg.(value & opt (some string) None & info [ "svg" ] ~doc:"Write an SVG to this file instead of ASCII.")
   in
-  Term.(const show_cmd $ input_arg $ sol $ max_height $ svg)
+  Term.(const show_cmd $ input_arg $ Arg.value (solution_opt "Solution file.")
+        $ max_height $ svg)
 
 let stats_term = Term.(const stats_cmd $ input_arg)
-
-let socket_arg =
-  Arg.(value & opt (some string) None
-       & info [ "socket" ] ~doc:"Unix-domain socket path.")
 
 let serve_term =
   let stdio =
@@ -1309,32 +916,18 @@ let serve_term =
              ~doc:"Deadline applied to solve requests that carry none.")
   in
   let log =
-    Arg.(value & opt (some string) None
-         & info [ "log" ]
-             ~doc:"Structured request log: one key=value line per response, \
-                   appended to FILE ('-' = stderr).")
+    log_arg
+      "Structured request log: one key=value line per response, appended to \
+       FILE ('-' = stderr)."
   in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No banner on stderr.") in
-  Term.(const serve_cmd $ socket_arg $ stdio $ workers $ queue $ cache_capacity
-        $ default_timeout_ms $ log $ quiet)
+  Term.(const serve_cmd $ Arg.value (socket_opt "Unix-domain socket path.") $ stdio
+        $ workers $ queue $ cache_capacity $ default_timeout_ms $ log
+        $ quiet_arg "No banner on stderr.")
 
 let batch_term =
-  let socket =
-    Arg.(required & opt (some string) None
-         & info [ "socket" ] ~doc:"Socket of a running `sap_cli serve`.")
-  in
   let files =
     Arg.(value & pos_all file []
          & info [] ~docv:"INSTANCE" ~doc:"Instance files to solve.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let timeout_ms =
-    Arg.(value & opt (some int) None
-         & info [ "timeout-ms" ] ~doc:"Per-request deadline.")
-  in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Bypass the server's solution cache.")
   in
   let output_dir =
     Arg.(value & opt (some dir) None
@@ -1354,23 +947,18 @@ let batch_term =
              ~doc:"Send a shutdown frame after the batch: the server drains \
                    in-flight work, acknowledges, and exits.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only errors and stats output.")
-  in
-  Term.(const batch_cmd $ socket $ files $ algorithm_arg $ seed $ timeout_ms
-        $ no_cache $ output_dir $ want_stats $ shutdown $ quiet)
+  Term.(const batch_cmd
+        $ Arg.required (socket_opt "Socket of a running `sap_cli serve`.")
+        $ files $ algorithm_arg "combine" Sap.Solvers.names $ seed_arg "PRNG seed."
+        $ timeout_ms_arg "Per-request deadline." $ no_cache_arg $ output_dir
+        $ want_stats $ shutdown
+        $ quiet_arg "Only errors and stats output.")
 
 let session_term =
-  let socket =
-    Arg.(required & opt (some string) None
-         & info [ "socket" ]
-             ~doc:"Socket of a running `sap_cli serve` or `sap_cli route`.")
-  in
   let input =
-    Arg.(value & opt (some string) None
-         & info [ "i"; "input" ]
-             ~doc:"Base instance file: open a session on it, resolve once, \
-                   close (a smoke run with no deltas).")
+    input_opt
+      "Base instance file: open a session on it, resolve once, close (a smoke \
+       run with no deltas)."
   in
   let churn =
     Arg.(value & opt (some string) None
@@ -1390,27 +978,17 @@ let session_term =
              ~doc:"Ask for cold resolves (every band repacked from scratch) — \
                    the baseline warm replays are compared against.")
   in
-  let seed =
-    Arg.(value & opt int 42
-         & info [ "seed" ] ~doc:"Per-band rounding seed for the session.")
-  in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ]
-             ~doc:"Write a sap-session-report v1 JSON (event/resolve totals, \
-                   solve ms, warm/repack counts) to this file.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only errors on stderr.")
-  in
-  Term.(const session_cmd $ socket $ input $ churn $ resolve_every $ cold $ seed
-        $ output $ quiet)
+  Term.(const session_cmd
+        $ Arg.required
+            (socket_opt "Socket of a running `sap_cli serve` or `sap_cli route`.")
+        $ Arg.value input $ churn $ resolve_every $ cold
+        $ seed_arg "Per-band rounding seed for the session."
+        $ output_arg
+            "Write a sap-session-report v1 JSON (event/resolve totals, solve \
+             ms, warm/repack counts) to this file."
+        $ quiet_arg "Only errors on stderr.")
 
 let route_term =
-  let socket =
-    Arg.(required & opt (some string) None
-         & info [ "socket" ] ~doc:"Front Unix-domain socket to listen on.")
-  in
   let shards =
     Arg.(value & opt (some int) None
          & info [ "shards" ]
@@ -1431,7 +1009,7 @@ let route_term =
                    temp directory).")
   in
   let vnodes =
-    Arg.(value & opt int Sap_server.Router.default_config.Sap_server.Router.vnodes
+    Arg.(value & opt int Router.default_config.Router.vnodes
          & info [ "vnodes" ]
              ~doc:"Virtual nodes per shard on the consistent-hash ring.")
   in
@@ -1454,21 +1032,16 @@ let route_term =
              ~doc:"`--default-timeout-ms` for spawned shards.")
   in
   let log =
-    Arg.(value & opt (some string) None
-         & info [ "log" ]
-             ~doc:"Structured lifecycle log: one key=value line per shard \
-                   event, appended to FILE ('-' = stderr).")
+    log_arg
+      "Structured lifecycle log: one key=value line per shard event, appended \
+       to FILE ('-' = stderr)."
   in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No banner on stderr.") in
-  Term.(const route_cmd $ socket $ shards $ shard_sockets $ shard_dir $ vnodes
-        $ shard_workers $ shard_queue $ shard_cache $ shard_timeout_ms $ log
-        $ quiet)
+  Term.(const route_cmd
+        $ Arg.required (socket_opt "Front Unix-domain socket to listen on.")
+        $ shards $ shard_sockets $ shard_dir $ vnodes $ shard_workers $ shard_queue
+        $ shard_cache $ shard_timeout_ms $ log $ quiet_arg "No banner on stderr.")
 
 let loadgen_term =
-  let socket =
-    Arg.(required & opt (some string) None
-         & info [ "socket" ] ~doc:"Socket of a running `sap_cli serve`.")
-  in
   let rps =
     Arg.(value & opt float Lab.Loadgen.default_config.Lab.Loadgen.rps
          & info [ "rps" ] ~doc:"Target offered rate, requests/second.")
@@ -1492,17 +1065,6 @@ let loadgen_term =
     Arg.(value & opt int Lab.Loadgen.default_config.Lab.Loadgen.distinct
          & info [ "distinct" ] ~doc:"Distinct instances cycled through the run.")
   in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Instance-mix PRNG seed.")
-  in
-  let timeout_ms =
-    Arg.(value & opt (some int) None
-         & info [ "timeout-ms" ] ~doc:"Per-request deadline sent on the wire.")
-  in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Bypass the server's solution cache.")
-  in
   let no_scrape =
     Arg.(value & flag
          & info [ "no-scrape" ] ~doc:"Skip the mid-run live stats scrape.")
@@ -1521,28 +1083,20 @@ let loadgen_term =
              ~doc:"A sweep point saturates when achieved < threshold x \
                    offered.")
   in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ]
-             ~doc:"Write the report JSON (sap-loadgen v1, or \
-                   sap-loadgen-sweep v1 with --sweep) here instead of stdout.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No summary on stderr.")
-  in
-  Term.(const loadgen_cmd $ socket $ rps $ duration $ connections $ profile
-        $ distinct $ algorithm_arg $ seed $ timeout_ms $ no_cache $ no_scrape
-        $ sweep $ sweep_threshold $ output $ quiet)
+  Term.(const loadgen_cmd
+        $ Arg.required (socket_opt "Socket of a running `sap_cli serve`.")
+        $ rps $ duration $ connections $ profile $ distinct
+        $ algorithm_arg "combine" Sap.Solvers.names
+        $ seed_arg "Instance-mix PRNG seed."
+        $ timeout_ms_arg "Per-request deadline sent on the wire." $ no_cache_arg
+        $ no_scrape
+        $ sweep $ sweep_threshold
+        $ output_arg
+            "Write the report JSON (sap-loadgen v1, or sap-loadgen-sweep v1 \
+             with --sweep) here instead of stdout."
+        $ quiet_arg "No summary on stderr.")
 
 let lab_gen_term =
-  let dir =
-    Arg.(required & opt (some string) None
-         & info [ "dir" ] ~doc:"Corpus directory (created if missing).")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Corpus PRNG seed.") in
-  let variants =
-    Arg.(value & opt int 3 & info [ "variants" ] ~doc:"Instances per family.")
-  in
   let churn =
     Arg.(value & opt (some int) None
          & info [ "churn" ] ~docv:"STEPS"
@@ -1550,37 +1104,25 @@ let lab_gen_term =
                    STEPS add/remove/resize events to DIR/churn.trace (replay \
                    it with `sap_cli session --churn`).")
   in
-  Term.(const lab_gen_cmd $ dir $ seed $ variants $ churn)
+  Term.(const lab_gen_cmd $ dir_arg $ seed_arg "Corpus PRNG seed." $ variants_arg
+        $ churn)
 
 let lab_run_term =
-  let corpus =
-    Arg.(required & opt (some string) None
-         & info [ "corpus" ] ~doc:"Corpus directory holding a manifest.txt.")
-  in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~doc:"Write the sap-ratio v1 report JSON here.")
-  in
-  let max_nodes =
-    Arg.(value & opt (some int) None
-         & info [ "max-nodes" ]
-             ~doc:"Branch-and-bound node budget per oracle solve; past it the \
-                   row degrades to an LP upper bound (bound_kind = lp).")
-  in
   let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ]
-             ~doc:"Worker domains for the branch-and-bound subtree fan-out \
-                   (default: sequential).")
+    jobs_arg
+      "Worker domains for the branch-and-bound subtree fan-out (default: \
+       sequential)."
   in
-  let gate =
-    Arg.(value & flag
-         & info [ "gate" ]
-             ~doc:"Exit 1 when any exact-oracle ratio exceeds its proven bound \
-                   or the branch and bound disagrees with the brute oracle.")
-  in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No summary table.") in
-  Term.(const lab_run_cmd $ corpus $ output $ max_nodes $ jobs $ gate $ quiet)
+  Term.(const lab_run_cmd $ corpus_arg
+        $ output_arg "Write the sap-ratio v1 report JSON here."
+        $ max_nodes_arg
+            "Branch-and-bound node budget per oracle solve; past it the row \
+             degrades to an LP upper bound (bound_kind = lp)."
+        $ jobs
+        $ gate_arg
+            "Exit 1 when any exact-oracle ratio exceeds its proven bound or the \
+             branch and bound disagrees with the brute oracle."
+        $ quiet_arg "No summary table.")
 
 let lab_hunt_term =
   let alg =
@@ -1589,7 +1131,6 @@ let lab_hunt_term =
              ~doc:
                ("Algorithm to hunt: " ^ String.concat " | " Lab.Hunt.algs ^ "."))
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Hunt PRNG seed.") in
   let generations =
     Arg.(value & opt int Lab.Hunt.default_config.Lab.Hunt.generations
          & info [ "generations" ] ~doc:"Evolutionary generations.")
@@ -1610,14 +1151,9 @@ let lab_hunt_term =
          & info [ "hof-size" ] ~doc:"Hall-of-fame capacity.")
   in
   let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ]
-             ~doc:"Worker domains for candidate evaluation (default: \
-                   sequential; results are identical either way).")
-  in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~doc:"Write the sap-hunt v1 report JSON here.")
+    jobs_arg
+      "Worker domains for candidate evaluation (default: sequential; results \
+       are identical either way)."
   in
   let hof_dir =
     Arg.(value & opt (some string) None
@@ -1625,9 +1161,10 @@ let lab_hunt_term =
              ~doc:"Write hall-of-fame instance files into this directory \
                    (created if missing).")
   in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No summary.") in
-  Term.(const lab_hunt_cmd $ alg $ seed $ generations $ population $ budget
-        $ hof_size $ jobs $ output $ hof_dir $ quiet)
+  Term.(const lab_hunt_cmd $ alg $ seed_arg "Hunt PRNG seed." $ generations
+        $ population $ budget $ hof_size $ jobs
+        $ output_arg "Write the sap-hunt v1 report JSON here." $ hof_dir
+        $ quiet_arg "No summary.")
 
 let lab_worst_term =
   let report =
@@ -1664,63 +1201,28 @@ let lab_cmd =
     ]
 
 let round_gen_term =
-  let dir =
-    Arg.(required & opt (some string) None
-         & info [ "dir" ] ~doc:"Corpus directory (created if missing).")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Corpus PRNG seed.") in
-  let variants =
-    Arg.(value & opt int 3 & info [ "variants" ] ~doc:"Instances per family.")
-  in
-  Term.(const round_gen_cmd $ dir $ seed $ variants)
+  Term.(const round_gen_cmd $ dir_arg $ seed_arg "Corpus PRNG seed." $ variants_arg)
 
 let round_solve_term =
-  let algorithm =
-    Arg.(value & opt string "bands"
-         & info [ "a"; "algorithm" ]
-             ~doc:"first-fit | next-fit | bands | exact")
-  in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ]
-             ~doc:"Write the round-solution v1 here (default: stdout).")
-  in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No summary line.") in
-  Term.(const round_solve_cmd $ input_arg $ algorithm $ output $ quiet)
+  Term.(const round_solve_cmd $ input_arg $ algorithm_arg "bands" Round.Solvers.names
+        $ output_arg "Write the round-solution v1 here (default: stdout)."
+        $ quiet_arg "No summary line.")
 
 let round_check_term =
-  let sol =
-    Arg.(required & opt (some string) None
-         & info [ "s"; "solution" ] ~doc:"A round-solution v1 file.")
-  in
-  Term.(const round_check_cmd $ input_arg $ sol)
+  Term.(const round_check_cmd $ input_arg
+        $ Arg.required (solution_opt "A round-solution v1 file."))
 
 let round_lab_term =
-  let corpus =
-    Arg.(required & opt (some string) None
-         & info [ "corpus" ] ~doc:"Corpus directory holding a manifest.txt.")
-  in
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ]
-             ~doc:"Write the round-report v1 JSON here.")
-  in
-  let max_nodes =
-    Arg.(value & opt (some int) None
-         & info [ "max-nodes" ]
-             ~doc:"Branch-and-bound node budget per oracle solve; past it the \
-                   row's bound degrades from exact to certified.")
-  in
-  let gate =
-    Arg.(value & flag
-         & info [ "gate" ]
-             ~doc:"Exit 1 when any solver goes below the certified lower \
-                   bound (or packs infeasibly), the branch and bound \
-                   disagrees with the brute oracle, or bands beats first-fit \
-                   on no family.")
-  in
-  let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No summary table.") in
-  Term.(const round_lab_cmd $ corpus $ output $ max_nodes $ gate $ quiet)
+  Term.(const round_lab_cmd $ corpus_arg
+        $ output_arg "Write the round-report v1 JSON here."
+        $ max_nodes_arg
+            "Branch-and-bound node budget per oracle solve; past it the row's \
+             bound degrades from exact to certified."
+        $ gate_arg
+            "Exit 1 when any solver goes below the certified lower bound (or \
+             packs infeasibly), the branch and bound disagrees with the brute \
+             oracle, or bands beats first-fit on no family."
+        $ quiet_arg "No summary table.")
 
 let round_cmd =
   Cmd.group
@@ -1784,19 +1286,20 @@ let cmds =
     round_cmd;
   ]
 
+(* [~catch:false]: a command's exception reaches this handler instead of
+   cmdliner's exit-125 "internal error". *)
 let () =
   let info =
     Cmd.info "sap_cli" ~version:"1.0"
       ~doc:"Storage allocation problem toolkit (Bar-Yehuda-Beder-Rawitz reproduction)"
   in
-  match Cmd.eval' (Cmd.group info cmds) with
+  match Cmd.eval' ~catch:false (Cmd.group info cmds) with
   | code -> exit code
-  | exception Invalid_argument m ->
+  | exception (Failure m | Invalid_argument m | Sys_error m) ->
       Printf.eprintf "error: %s\n" m;
       exit 2
-  | exception Failure m ->
-      Printf.eprintf "error: %s\n" m;
-      exit 2
-  | exception Sys_error m ->
-      Printf.eprintf "error: %s\n" m;
+  | exception Unix.Unix_error (e, fn, arg) ->
+      Printf.eprintf "error: %s%s: %s\n" fn
+        (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message e);
       exit 2

@@ -92,9 +92,13 @@ type ctx = {
   shared : shared;
   memo : (string, float) Hashtbl.t;
   memo_cap : int;
-  lp_depth : int;  (* residual-LP bound computed at depths < lp_depth *)
-  lp_min_remaining : int;
 }
+
+(* The residual-LP bound is computed at depths < [lp_depth] with at least
+   [lp_min_remaining] tasks left. *)
+let lp_depth = 10
+
+let lp_min_remaining = 5
 
 type prev_choice = Free | Skipped | Placed_at of int
 
@@ -169,8 +173,8 @@ let rec branch ctx i placed w depth prev =
       in
       if not dominated then begin
         let lp_cut =
-          depth < ctx.lp_depth
-          && n - i >= ctx.lp_min_remaining
+          depth < lp_depth
+          && n - i >= lp_min_remaining
           &&
           let res = residual_loads ctx placed in
           let ub =
@@ -280,8 +284,7 @@ let expand_frontier ctx target =
 
 (* ---------- driver ---------- *)
 
-let solve ?(max_nodes = default_max_nodes) ?(lp_depth = 10)
-    ?(lp_min_remaining = 5) ?jobs path ts =
+let solve ?(max_nodes = default_max_nodes) ?jobs path ts =
   Obs.Trace.with_span "lab.bb.solve"
     ~attrs:[ ("tasks", string_of_int (List.length ts)) ]
   @@ fun () ->
@@ -319,8 +322,6 @@ let solve ?(max_nodes = default_max_nodes) ?(lp_depth = 10)
       shared;
       memo = Hashtbl.create 4096;
       memo_cap = 1_000_000;
-      lp_depth;
-      lp_min_remaining;
     }
   in
   let run_subtree nd =

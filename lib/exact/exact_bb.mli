@@ -40,8 +40,6 @@ val default_max_nodes : int
 
 val solve :
   ?max_nodes:int ->
-  ?lp_depth:int ->
-  ?lp_min_remaining:int ->
   ?jobs:int ->
   Core.Path.t ->
   Core.Task.t list ->
@@ -49,9 +47,9 @@ val solve :
 (** [solve p ts] computes a maximum-weight feasible SAP solution, or —
     past [max_nodes] expanded nodes (default {!default_max_nodes}) — the
     best incumbent with [optimal = false] and a root-LP upper bound.  The
-    residual LP is priced only at branching depth [< lp_depth] (default
-    10) with at least [lp_min_remaining] (default 5) tasks left, where it
-    prunes whole subtrees; deeper nodes rely on the O(1) suffix bound.
+    residual LP is priced only at branching depth [< 10] with at least 5
+    tasks left, where it prunes whole subtrees; deeper nodes rely on the
+    O(1) suffix bound.
     With [jobs > 1] the top of the tree is expanded breadth-first and the
     subtrees solved on [jobs] domains; the default is sequential.  Tasks
     that fit nowhere ([d_j > b(j)]) are dropped up front. *)

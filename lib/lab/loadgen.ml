@@ -452,3 +452,167 @@ let sweep_json sw =
         | Some k -> Obs.Json.Float k
         | None -> Obs.Json.Null );
     ]
+
+(* ---------- session replay ---------- *)
+
+type session_report = {
+  se_cold : bool;
+  se_events : int;
+  se_deltas : int;
+  se_summaries : P.session_summary list;
+  se_failures : string list;
+}
+
+let session ~connect ~seed ~cold ~resolve_every path base events =
+  match connect () with
+  | Error m -> Error ("cannot connect: " ^ m)
+  | Ok fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      let live = Hashtbl.create 64 in
+      List.iter (fun (j : Core.Task.t) -> Hashtbl.replace live j.Core.Task.id j) base;
+      let next_id = ref 0 and deltas = ref 0 in
+      let summaries = ref [] and failures = ref [] in
+      let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+      (* The one response matcher: one in-order round trip, answered by the
+         session event [expect] or counted as a failure.  Solution bodies
+         are parsed against the client's view of the session's task set as
+         of the request, and every returned solution is re-checked: the
+         server already checker-verifies, so a failure here means wire
+         corruption, not a solver bug. *)
+      let exchange what expect req =
+        let id = !next_id in
+        incr next_id;
+        let snapshot = Hashtbl.fold (fun _ j acc -> j :: acc) live [] in
+        let tasks_for id' = if id' = id then Some snapshot else None in
+        match Sap_server.Client.request ~ic ~oc ~tasks_for (req id) with
+        | Ok (P.Session_reply { event; session; summary; solution; _ })
+          when event = expect ->
+            Option.iter
+              (fun s ->
+                (match Core.Checker.sap_feasible path solution with
+                | Ok () -> ()
+                | Error m ->
+                    fail "%s returned a checker-rejected solution: %s" what m);
+                summaries := s :: !summaries)
+              summary;
+            Some session
+        | Ok (P.Failed { code; message; _ }) ->
+            fail "%s failed: [%s] %s" what (P.error_code_to_string code) message;
+            None
+        | Ok _ ->
+            fail "%s: unexpected response" what;
+            None
+        | Error m ->
+            fail "%s: %s" what m;
+            None
+      in
+      (match
+         exchange "open" P.Sess_opened (fun id ->
+             P.Session_open { id; seed; path; tasks = base })
+       with
+      | None -> ()
+      | Some sid ->
+          let ack what req = ignore (exchange what P.Sess_ack req) in
+          let add (j : Core.Task.t) =
+            incr deltas;
+            Hashtbl.replace live j.Core.Task.id j;
+            ack "add-task" (fun id -> P.Session_add { id; session = sid; task = j })
+          in
+          let remove tid =
+            incr deltas;
+            Hashtbl.remove live tid;
+            ack "remove-task" (fun id ->
+                P.Session_remove { id; session = sid; task_id = tid })
+          in
+          let resolve () =
+            ignore
+              (exchange "resolve" P.Sess_resolved (fun id ->
+                   P.Session_resolve { id; session = sid; cold }))
+          in
+          (* A resize is remove + add under the same id. *)
+          let pending = ref 0 in
+          List.iter
+            (fun ev ->
+              (match ev with
+              | Corpus.Churn_add j -> add j
+              | Corpus.Churn_remove tid -> remove tid
+              | Corpus.Churn_resize (tid, demand) -> (
+                  match Hashtbl.find_opt live tid with
+                  | None -> fail "resize of unknown task %d" tid
+                  | Some (j : Core.Task.t) ->
+                      remove tid;
+                      add
+                        (Core.Task.make ~id:tid ~first_edge:j.Core.Task.first_edge
+                           ~last_edge:j.Core.Task.last_edge ~demand
+                           ~weight:j.Core.Task.weight)));
+              incr pending;
+              if !pending >= resolve_every then begin
+                pending := 0;
+                resolve ()
+              end)
+            events;
+          if !pending > 0 || events = [] then resolve ();
+          ignore
+            (exchange "close" P.Sess_closed (fun id ->
+                 P.Session_close { id; session = sid })));
+      Ok
+        {
+          se_cold = cold;
+          se_events = List.length events;
+          se_deltas = !deltas;
+          se_summaries = List.rev !summaries;
+          se_failures = List.rev !failures;
+        }
+
+let sum_int f ss = List.fold_left (fun acc s -> acc + f s) 0 ss
+
+let solve_ms ss = List.fold_left (fun acc s -> acc +. s.P.s_time_ms) 0.0 ss
+
+let session_json r =
+  let ss = r.se_summaries in
+  let scheduled, weight =
+    match List.rev ss with
+    | s :: _ -> (s.P.s_scheduled, s.P.s_weight)
+    | [] -> (0, 0.0)
+  in
+  Obs.Json.Obj
+    [
+      ("schema", Obs.Json.String "sap-session-report v1");
+      ("cold", Obs.Json.Bool r.se_cold);
+      ("events", Obs.Json.Int r.se_events);
+      ("deltas", Obs.Json.Int r.se_deltas);
+      ("resolves", Obs.Json.Int (List.length ss));
+      ("solve_ms", Obs.Json.Float (solve_ms ss));
+      ("warm_seeded", Obs.Json.Int (sum_int (fun s -> s.P.s_warm) ss));
+      ("bands_repacked", Obs.Json.Int (sum_int (fun s -> s.P.s_repacked) ss));
+      ("bands_reused", Obs.Json.Int (sum_int (fun s -> s.P.s_reused) ss));
+      ("final_scheduled", Obs.Json.Int scheduled);
+      ("final_weight", Obs.Json.Float weight);
+      ("failures", Obs.Json.Int (List.length r.se_failures));
+    ]
+
+let pp_session ppf r =
+  let ss = r.se_summaries in
+  List.iteri
+    (fun i s ->
+      Format.fprintf ppf
+        "%-8s scheduled=%d/%d weight=%.3f bands=%d repacked=%d reused=%d \
+         warm=%d time=%.3fms@."
+        (if i = 0 then "open" else "resolve")
+        s.P.s_scheduled s.P.s_tasks s.P.s_weight s.P.s_bands s.P.s_repacked
+        s.P.s_reused s.P.s_warm s.P.s_time_ms)
+    ss;
+  Format.fprintf ppf
+    "session: %d events, %d deltas, %d resolves (%s), %.3fms total solve, %d \
+     warm-seeded, %d repacked, %d reused, %d failures@."
+    r.se_events r.se_deltas (List.length ss)
+    (if r.se_cold then "cold" else "warm")
+    (solve_ms ss)
+    (sum_int (fun s -> s.P.s_warm) ss)
+    (sum_int (fun s -> s.P.s_repacked) ss)
+    (sum_int (fun s -> s.P.s_reused) ss)
+    (List.length r.se_failures)

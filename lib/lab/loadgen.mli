@@ -125,3 +125,47 @@ val sweep_json : sweep -> Obs.Json.t
 (** The [sap-loadgen-sweep v1] report (schema in docs/FORMAT.md):
     range, threshold, per-point offered/achieved/counts/latency, and
     [knee_rps] (null when even [lo] was past the knee). *)
+
+(** {2 Session replay}
+
+    Drive one online session: open it on a base instance, replay a churn
+    trace as add/remove deltas (a resize is remove + add under the same
+    id), resolve every [resolve_every] events, close.  Requests go one at
+    a time in order over one connection.  Every returned solution is
+    re-checked client-side; the server already checker-verifies, so a
+    rejection here means wire corruption, not a solver bug. *)
+
+type session_report = {
+  se_cold : bool;  (** resolves asked for a cold repack *)
+  se_events : int;  (** churn events replayed *)
+  se_deltas : int;  (** add/remove requests sent; a resize sends both *)
+  se_summaries : Sap_server.Protocol.session_summary list;
+      (** the open's summary, then one per resolve, in order *)
+  se_failures : string list;
+      (** printable failures in order (error responses, unexpected
+          replies, checker rejections); empty on a clean replay *)
+}
+
+val session :
+  connect:(unit -> (Unix.file_descr, string) result) ->
+  seed:int ->
+  cold:bool ->
+  resolve_every:int ->
+  Core.Path.t ->
+  Core.Task.t list ->
+  Corpus.churn_event list ->
+  (session_report, string) result
+(** [session ~connect ~seed ~cold ~resolve_every path base events]
+    replays [events] on a session opened over [path] and [base]; an
+    empty [events] opens, resolves once and closes.  A trailing partial
+    batch of fewer than [resolve_every] events is resolved too.  [Error]
+    only when [connect] fails; per-request failures land in
+    [se_failures]. *)
+
+val session_json : session_report -> Obs.Json.t
+(** The [sap-session-report v1] report (schema in docs/FORMAT.md): event,
+    delta and resolve totals, summed solve ms and band counts, the last
+    summary's scheduled count and weight, and the failure count. *)
+
+val pp_session : Format.formatter -> session_report -> unit
+(** One line per summary ([open], then [resolve]) and a totals line. *)

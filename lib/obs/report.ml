@@ -22,10 +22,15 @@ let build ?(extra = []) ?(include_spans = true) () =
 
 (* Write to a temp file in the destination directory, then rename: a
    crashed or killed run can never leave a truncated report behind to
-   poison a later [bench-diff]. *)
+   poison a later [bench-diff].  [open_temp_file] defaults to owner-only
+   0o600; 0o666 gives the report the mode [open_out] would, umask
+   applied. *)
 let write_file path report =
   let dir = Filename.dirname path in
-  let tmp, oc = Filename.open_temp_file ~temp_dir:dir ".sap-report-" ".tmp" in
+  let tmp, oc =
+    try Filename.open_temp_file ~perms:0o666 ~temp_dir:dir ".sap-report-" ".tmp"
+    with Sys_error m -> raise (Sys_error ("cannot write " ^ path ^ ": " ^ m))
+  in
   match
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)

@@ -40,5 +40,7 @@ val build : ?extra:(string * Json.t) list -> ?include_spans:bool -> unit -> Json
 val write_file : string -> Json.t -> unit
 (** Pretty-printed, trailing newline.  Atomic: the report is written to a
     temp file in the destination directory and renamed into place, so a
-    crash mid-write cannot leave a truncated JSON behind.  Also used for
-    the Chrome-trace sidecar. *)
+    crash mid-write cannot leave a truncated JSON behind.  The file gets
+    the mode [open_out] gives a new file (0o666 less the umask).  Every
+    JSON report the CLI writes goes through here, the Chrome-trace
+    sidecar included. *)

@@ -160,6 +160,14 @@ type bound_kind = Lp_bound | Exact_bound
 
 let bound_kind_name = function Lp_bound -> "lp" | Exact_bound -> "exact"
 
+type parts = {
+  chosen_part : part;
+  weight_small : float;
+  weight_medium : float;
+  weight_large : float;
+  medium_exact : bool;
+}
+
 type audit = {
   upper_bound : float;
   bound_kind : bound_kind;
@@ -170,11 +178,7 @@ type audit = {
   checker_error : string option;
   scheduled : int;
   tasks : int;
-  chosen_part : part;
-  weight_small : float;
-  weight_medium : float;
-  weight_large : float;
-  medium_exact : bool;
+  parts : parts option;
 }
 
 let h_ratio = Obs.Metrics.histogram "combine.empirical_ratio"
@@ -183,7 +187,7 @@ let g_lp_upper_bound = Obs.Metrics.gauge "combine.lp_upper_bound"
 
 let c_checker_failures = Obs.Metrics.counter "combine.audit.checker_failures"
 
-let audit ?lp_upper_bound ?exact_optimum path ts r =
+let audit ?lp_upper_bound ?exact_optimum ?report path ts solution =
   (* An exact optimum (from the lab's branch and bound) beats the LP
      relaxation: it makes the empirical ratio a true OPT/ALG, not an
      over-estimate.  The record says which one it got. *)
@@ -193,9 +197,9 @@ let audit ?lp_upper_bound ?exact_optimum path ts r =
     | None, Some v -> (v, Lp_bound)
     | None, None -> (Lp.Ufpp_lp.upper_bound path ts, Lp_bound)
   in
-  let achieved = Core.Solution.sap_weight r.solution in
+  let achieved = Core.Solution.sap_weight solution in
   let ratio = if achieved > 0.0 then Some (ub /. achieved) else None in
-  let checker = Core.Checker.sap_feasible path r.solution in
+  let checker = Core.Checker.sap_feasible path solution in
   (match kind with
   | Lp_bound -> Obs.Metrics.set g_lp_upper_bound ub
   | Exact_bound -> ());
@@ -209,18 +213,24 @@ let audit ?lp_upper_bound ?exact_optimum path ts r =
     empirical_ratio = ratio;
     checker_ok = Result.is_ok checker;
     checker_error = (match checker with Ok () -> None | Error m -> Some m);
-    scheduled = List.length r.solution;
+    scheduled = List.length solution;
     tasks = List.length ts;
-    chosen_part = r.chosen;
-    weight_small = Core.Solution.sap_weight r.small_solution;
-    weight_medium = Core.Solution.sap_weight r.medium_solution;
-    weight_large = Core.Solution.sap_weight r.large_solution;
-    medium_exact = r.medium_exact;
+    parts =
+      Option.map
+        (fun (r : report) ->
+          {
+            chosen_part = r.chosen;
+            weight_small = Core.Solution.sap_weight r.small_solution;
+            weight_medium = Core.Solution.sap_weight r.medium_solution;
+            weight_large = Core.Solution.sap_weight r.large_solution;
+            medium_exact = r.medium_exact;
+          })
+        report;
   }
 
 let audit_json a =
   Obs.Json.Obj
-    [
+    ([
       ("upper_bound", Obs.Json.Float a.upper_bound);
       ("bound_kind", Obs.Json.String (bound_kind_name a.bound_kind));
       ("achieved_weight", Obs.Json.Float a.achieved_weight);
@@ -240,16 +250,22 @@ let audit_json a =
           ] );
       ("scheduled", Obs.Json.Int a.scheduled);
       ("tasks", Obs.Json.Int a.tasks);
-      ( "parts",
-        Obs.Json.Obj
-          [
-            ("small", Obs.Json.Float a.weight_small);
-            ("medium", Obs.Json.Float a.weight_medium);
-            ("large", Obs.Json.Float a.weight_large);
-            ("chosen", Obs.Json.String (part_name a.chosen_part));
-            ("medium_exact", Obs.Json.Bool a.medium_exact);
-          ] );
     ]
+    @
+    match a.parts with
+    | None -> []
+    | Some p ->
+        [
+          ( "parts",
+            Obs.Json.Obj
+              [
+                ("small", Obs.Json.Float p.weight_small);
+                ("medium", Obs.Json.Float p.weight_medium);
+                ("large", Obs.Json.Float p.weight_large);
+                ("chosen", Obs.Json.String (part_name p.chosen_part));
+                ("medium_exact", Obs.Json.Bool p.medium_exact);
+              ] );
+        ])
 
 let pp_audit ppf a =
   (match a.bound_kind with
@@ -257,15 +273,23 @@ let pp_audit ppf a =
   | Exact_bound -> Format.fprintf ppf "@[<v>exact optimum     %.3f@," a.upper_bound);
   Format.fprintf ppf "achieved weight   %.3f  (of %.3f total)@," a.achieved_weight
     a.total_weight;
+  (* Theorem 4's guarantee is combine's: only its audits carry parts. *)
   (match a.empirical_ratio with
-  | Some x -> Format.fprintf ppf "empirical ratio   %.3f  (guarantee: 9+eps)@," x
+  | Some x ->
+      Format.fprintf ppf "empirical ratio   %.3f%s@," x
+        (if Option.is_some a.parts then "  (guarantee: 9+eps)" else "")
   | None -> Format.fprintf ppf "empirical ratio   n/a (zero weight scheduled)@,");
-  Format.fprintf ppf "checker           %s@,"
+  Format.fprintf ppf "checker           %s"
     (match a.checker_error with
     | None -> "feasible"
     | Some m -> "INFEASIBLE: " ^ m);
-  Format.fprintf ppf "scheduled         %d of %d tasks@," a.scheduled a.tasks;
-  Format.fprintf ppf "parts             small %.3f | medium %.3f%s | large %.3f -> %a@]"
-    a.weight_small a.weight_medium
-    (if a.medium_exact then " (exact)" else "")
-    a.weight_large pp_part a.chosen_part
+  (match a.parts with
+  | None -> ()
+  | Some p ->
+      Format.fprintf ppf "@,scheduled         %d of %d tasks@," a.scheduled a.tasks;
+      Format.fprintf ppf
+        "parts             small %.3f | medium %.3f%s | large %.3f -> %a"
+        p.weight_small p.weight_medium
+        (if p.medium_exact then " (exact)" else "")
+        p.weight_large pp_part p.chosen_part);
+  Format.fprintf ppf "@]"

@@ -62,6 +62,15 @@ type bound_kind = Lp_bound | Exact_bound
 val bound_kind_name : bound_kind -> string
 (** ["lp"] / ["exact"] — the report vocabulary (docs/FORMAT.md). *)
 
+type parts = {
+  chosen_part : part;
+  weight_small : float;
+  weight_medium : float;
+  weight_large : float;
+  medium_exact : bool;
+}
+(** A {!solve_report}'s per-part contributions. *)
+
 type audit = {
   upper_bound : float;
       (** the UFPP LP relaxation bound, or a true optimum when the caller
@@ -78,35 +87,38 @@ type audit = {
   checker_error : string option;
   scheduled : int;
   tasks : int;
-  chosen_part : part;
-  weight_small : float;
-  weight_medium : float;
-  weight_large : float;
-  medium_exact : bool;
+  parts : parts option;  (** [Some] iff the audit was given a [report] *)
 }
-(** The per-solve ratio certificate: how far the combination actually
-    landed from the LP upper bound, with the per-part contributions and
-    an independent feasibility verdict.  Continuously recording these is
-    what makes the [(9+eps)] guarantee observable across PRs. *)
+(** The per-solve ratio certificate: how far a solution actually landed
+    from the LP upper bound, with an independent feasibility verdict and,
+    for [combine], the per-part contributions.  Continuously recording
+    these is what makes the [(9+eps)] guarantee observable across
+    changes. *)
 
 val audit :
   ?lp_upper_bound:float ->
   ?exact_optimum:float ->
+  ?report:report ->
   Core.Path.t ->
   Core.Task.t list ->
-  report ->
+  Core.Solution.sap ->
   audit
-(** Audit a {!solve_report} result.  Computes the UFPP LP upper bound
-    unless the caller already has it ([sap_cli] prints it anyway), runs
-    the checker, and records [combine.lp_upper_bound],
-    [combine.empirical_ratio] and [combine.audit.checker_failures]
-    metrics.  [exact_optimum] (when the caller certified OPT, e.g. via
-    the lab's branch and bound) takes precedence over [lp_upper_bound]
-    and tags the record [Exact_bound].  Call it {e after} snapshotting
-    solve metrics if the LP recomputation must not perturb [simplex.*]
-    counters. *)
+(** Audit any solver's solution; pass [report] (the {!solve_report}
+    result the solution came from) to add its per-part contributions.
+    Computes the UFPP LP upper bound unless the caller already has it
+    ([sap_cli] prints it anyway), runs the checker, and records
+    [combine.lp_upper_bound], [combine.empirical_ratio] and
+    [combine.audit.checker_failures] metrics.  [exact_optimum] (when the
+    caller certified OPT, e.g. via the lab's branch and bound) takes
+    precedence over [lp_upper_bound] and tags the record [Exact_bound].
+    Stop collection first ({!Obs.Report.disable_all}) if the LP
+    recomputation must not perturb the solve's [simplex.*] counters. *)
 
 val audit_json : audit -> Obs.Json.t
-(** The [audit] record of the stats report (docs/FORMAT.md). *)
+(** The [audit] record of the stats report (docs/FORMAT.md); the
+    [parts] key is present iff [parts] is. *)
 
 val pp_audit : Format.formatter -> audit -> unit
+(** The [sap_cli solve --audit] text.  With [parts], the ratio line names
+    the [9+eps] guarantee and two lines follow the checker verdict: the
+    scheduled count and the per-part weights. *)

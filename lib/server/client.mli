@@ -39,10 +39,10 @@ val request :
   Protocol.request ->
   (Protocol.response, string) result
 (** Synchronous single round-trip: write one frame, block for one
-    response frame.  This is what the session verbs use ([sap_cli
-    session] drives open → deltas → resolve → close strictly in order),
-    where pipelining buys nothing and an in-order conversation keeps the
-    client trivial.  [tasks_for] resolves solution bodies exactly as in
+    response frame.  This is what the session verbs use
+    ([Lab.Loadgen.session] drives open → deltas → resolve → close
+    strictly in order), where pipelining buys nothing and an in-order
+    conversation keeps the client trivial.  [tasks_for] resolves solution bodies exactly as in
     {!run_batch} — for session replies, pass the client's view of the
     session's current task set.  The error is printable (write failure,
     closed stream, or an unparseable frame). *)

@@ -80,24 +80,21 @@ type endpoint = {
   ep_spawn : (string -> int) option;
 }
 
-type config = {
-  vnodes : int;
-  connect_attempts : int;
-  backoff_min : float;
-  backoff_max : float;
-  retry_limit : int;
-  log : (string -> unit) option;
-}
+type config = { vnodes : int; log : (string -> unit) option }
 
-let default_config =
-  {
-    vnodes = 64;
-    connect_attempts = 100;
-    backoff_min = 0.05;
-    backoff_max = 2.0;
-    retry_limit = 5;
-    log = None;
-  }
+let default_config = { vnodes = 64; log = None }
+
+(* Startup connection attempts per shard, 50 ms apart. *)
+let connect_attempts = 100
+
+(* Reconnect/respawn backoff: starts at [backoff_min] seconds and doubles
+   up to [backoff_max]. *)
+let backoff_min = 0.05
+
+let backoff_max = 2.0
+
+(* Per-request re-homing attempts before answering [error]. *)
+let retry_limit = 5
 
 (* ---------- response slots ---------- *)
 
@@ -363,7 +360,7 @@ let send t sh entry =
 
 let rec dispatch t entry =
   entry.e_attempts <- entry.e_attempts + 1;
-  if entry.e_attempts > t.cfg.retry_limit then
+  if entry.e_attempts > retry_limit then
     fail_entry t entry P.Internal "router: retry limit exceeded"
   else begin
     Mutex.lock t.ring_lock;
@@ -439,7 +436,7 @@ and start_recovery t sh old_conn =
 
 and recover t sh old_conn =
   join_conn old_conn;
-  let backoff = ref t.cfg.backoff_min in
+  let backoff = ref backoff_min in
   let rec attempt () =
     if not (Atomic.get t.stopping) then begin
       sleep_interruptible t !backoff;
@@ -468,7 +465,7 @@ and recover t sh old_conn =
             end
         | None -> ());
         if not (try_connect t sh) then begin
-          backoff := Float.min (!backoff *. 2.0) t.cfg.backoff_max;
+          backoff := Float.min (!backoff *. 2.0) backoff_max;
           attempt ()
         end
       end
@@ -690,7 +687,7 @@ let create ?(config = default_config) endpoints =
               go (n - 1)
             end
           in
-          go (max 1 config.connect_attempts))
+          go connect_attempts)
         t.shards
     in
     if connected then Ok t

@@ -26,10 +26,10 @@
     dies is removed from the hash ring; its in-flight requests are
     re-homed to surviving shards (solves are pure, so a retry is safe)
     and a recovery domain reconnects — respawning a spawned child whose
-    process exited — under doubling backoff bounded by
-    [config.backoff_max].  An accepted request is therefore answered
-    exactly once: re-homed, or failed with an [error] response when no
-    shard remains; never silently dropped.  {!drain_shard} is the
+    process exited — under backoff doubling from 50 ms to 2 s.  An
+    accepted request is therefore answered exactly once: re-homed, or
+    failed with an [error] response when no shard remains; never
+    silently dropped.  {!drain_shard} is the
     planned-maintenance variant: the shard leaves the ring, finishes its
     in-flight work, acknowledges a [shutdown] frame, and stays out.
 
@@ -75,27 +75,22 @@ type endpoint = {
 
 type config = {
   vnodes : int;  (** virtual points per shard on the ring *)
-  connect_attempts : int;
-      (** startup connection attempts per shard (50 ms apart) before
-          {!create} gives up *)
-  backoff_min : float;  (** initial reconnect/respawn backoff, seconds *)
-  backoff_max : float;  (** backoff doubling cap, seconds *)
-  retry_limit : int;
-      (** per-request re-homing attempts before answering [error] *)
   log : (string -> unit) option;  (** lifecycle event sink *)
 }
 
 val default_config : config
-(** [vnodes = 64; connect_attempts = 100; backoff_min = 0.05;
-    backoff_max = 2.0; retry_limit = 5; log = None] *)
+(** [vnodes = 64; log = None].  The lifecycle timings are constants: 100
+    startup connection attempts per shard, 50 ms apart; reconnect and
+    respawn backoff doubling from 50 ms to 2 s; 5 re-homing attempts per
+    request before it is answered with [error]. *)
 
 type t
 
 val create : ?config:config -> endpoint list -> (t, string) result
 (** Spawn (where applicable) and connect every shard.  [Error] — with
     every spawned child cleaned up — if the endpoint list is empty, a
-    name repeats, or some shard never accepts within
-    [connect_attempts]. *)
+    name repeats, or some shard never accepts within its 100 startup
+    connection attempts. *)
 
 val handle_session : t -> in_channel -> out_channel -> unit
 (** Serve one client connection to completion: the router's handler on

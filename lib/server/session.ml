@@ -15,6 +15,12 @@ let m_reused = Obs.Metrics.counter "session.bands_reused"
 
 let h_resolve = Obs.Metrics.histogram "session.resolve_seconds"
 
+(* LP-rounding trials per band: the combine default's. *)
+let trials =
+  match Sap.Combine.default_config.Sap.Combine.rounding with
+  | `Lp k -> k
+  | `Local_ratio -> 16
+
 (* One bottleneck band [J_t = { j : 2^t <= b(j) < 2^(t+1) }] of the
    session's instance.  The band owns everything a repack needs: its
    current tasks, the warm handle of its last LP solve, and the lifted
@@ -32,7 +38,6 @@ type band = {
 type t = {
   s_path : Path.t;
   s_seed : int;
-  s_trials : int;
   s_tasks : (int, Task.t) Hashtbl.t;
   s_bands : (int, band) Hashtbl.t;
   mutable s_last : Core.Solution.sap;
@@ -142,7 +147,7 @@ let pack_band t band ~cold =
     in
     let prng = Util.Prng.create ((t.s_seed * 1_000_003) + band.bt) in
     let strip =
-      Ufpp.Lp_rounding.round ~budget ~trials:t.s_trials ~prng t.s_path
+      Ufpp.Lp_rounding.round ~budget ~trials ~prng t.s_path
         fractional
     in
     let r =
@@ -202,21 +207,11 @@ let resolve ?(cold = false) t =
             time_ms;
           } )
 
-let create ?(seed = Sap.Combine.default_config.Sap.Combine.seed) ?trials path
-    ts =
-  let trials =
-    match trials with
-    | Some k -> k
-    | None -> (
-        match Sap.Combine.default_config.Sap.Combine.rounding with
-        | `Lp k -> k
-        | `Local_ratio -> 16)
-  in
+let create ?(seed = Sap.Combine.default_config.Sap.Combine.seed) path ts =
   let t =
     {
       s_path = path;
       s_seed = seed;
-      s_trials = trials;
       s_tasks = Hashtbl.create 64;
       s_bands = Hashtbl.create 8;
       s_last = [];

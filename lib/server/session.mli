@@ -35,12 +35,11 @@ type summary = {
   time_ms : float;
 }
 
-val create :
-  ?seed:int -> ?trials:int -> Core.Path.t -> Core.Task.t list -> (t, string) result
+val create : ?seed:int -> Core.Path.t -> Core.Task.t list -> (t, string) result
 (** [create path tasks] opens a session on the base instance.  [seed]
     drives the per-band rounding generators (default:
-    [Combine.default_config.seed]); [trials] the LP-rounding trials
-    (default: the combine config's).  Fails on duplicate task ids or
+    [Combine.default_config.seed]); each band rounds with the combine
+    config's LP-rounding trials (16).  Fails on duplicate task ids or
     tasks outside the path.  The session starts with every band dirty —
     call {!resolve} for the initial solution. *)
 

@@ -331,7 +331,19 @@ let unreadable_file_is_clean_error () =
         expect_clean "check missing" [ "check"; "-i"; missing; "-s"; missing ];
         expect_clean "show missing" [ "show"; "-i"; missing ];
         (* A directory fails the same way, not with a raw Sys_error. *)
-        expect_clean "solve directory" [ "solve"; "-i"; dir ])
+        expect_clean "solve directory" [ "solve"; "-i"; dir ];
+        (* Failures raised inside a command reach the same handler, not
+           cmdliner's exit-125 "internal error". *)
+        let corpus = Lab.Corpus.generate ~dir ~seed:1 ~variants:1 () in
+        let first = List.hd corpus.Lab.Corpus.entries in
+        Sap_io.Instance_io.write_file
+          (Filename.concat dir first.Lab.Corpus.file)
+          "garbage\n";
+        expect_clean "lab run corrupt entry" [ "lab"; "run"; "--corpus"; dir; "-q" ];
+        expect_clean "lab hunt unknown alg" [ "lab"; "hunt"; "--alg"; "nope" ];
+        expect_clean "serve missing socket dir"
+          [ "serve"; "--socket"; Filename.concat (Filename.concat dir "missing") "s.sock";
+            "-q" ])
 
 (* ---------- serve / batch over a Unix-domain socket ---------- *)
 

@@ -354,11 +354,13 @@ let ratio_family_breakdown () =
 let audit_records_bound_kind () =
   let path, tasks = Helpers.tiny_instance ~max_tasks:8 17 in
   let r = Sap.Combine.solve_report path tasks in
-  let lp_audit = Sap.Combine.audit path tasks r in
+  let lp_audit = Sap.Combine.audit ~report:r path tasks r.Sap.Combine.solution in
   Alcotest.(check bool) "default is lp" true
     (lp_audit.Sap.Combine.bound_kind = Sap.Combine.Lp_bound);
   let opt = Exact.Exact_bb.value path tasks in
-  let exact_audit = Sap.Combine.audit ~exact_optimum:opt path tasks r in
+  let exact_audit =
+    Sap.Combine.audit ~exact_optimum:opt ~report:r path tasks r.Sap.Combine.solution
+  in
   Alcotest.(check bool) "exact_optimum tags Exact_bound" true
     (exact_audit.Sap.Combine.bound_kind = Sap.Combine.Exact_bound);
   Alcotest.(check (float 1e-9)) "upper bound is the optimum" opt
@@ -714,11 +716,9 @@ let loadgen_validates_config () =
   bad "negative duration" { lg_config with Loadgen.duration = -1.0 };
   bad "zero connections" { lg_config with Loadgen.connections = 0 }
 
-let loadgen_open_loop_over_socketpairs () =
-  (* The full open-loop pipeline — pacer, pipelined connections, reader
-     domains, mid-run stats scrape — against an in-process server: every
-     [connect] hands back one end of a socketpair served by its own
-     domain. *)
+(* [f connect] against an in-process server: every [connect] hands back
+   one end of a socketpair served by its own domain. *)
+let with_socketpair_server f =
   let srv =
     Server.create
       ~config:{ Server.default_config with Server.workers = Some 2 } ()
@@ -746,7 +746,12 @@ let loadgen_open_loop_over_socketpairs () =
     ~finally:(fun () ->
       List.iter Domain.join !doms;
       Server.drain srv)
-  @@ fun () ->
+    (fun () -> f connect)
+
+let loadgen_open_loop_over_socketpairs () =
+  (* The full open-loop pipeline — pacer, pipelined connections, reader
+     domains, mid-run stats scrape — against an in-process server. *)
+  with_socketpair_server @@ fun connect ->
   let cfg =
     {
       lg_config with
@@ -783,6 +788,47 @@ let loadgen_open_loop_over_socketpairs () =
             (List.assoc_opt "schema" fields
             = Some (Obs.Json.String "sap-server-stats v2"))
       | _ -> Alcotest.fail "mid-run stats scrape missing")
+
+let session_replay_over_socketpairs () =
+  (* The churn replay behind `sap_cli session`: warm, cold, and the -i
+     path's empty event list. *)
+  with_socketpair_server @@ fun connect ->
+  let c = Lab.Corpus.generate_churn ~seed:7 ~steps:8 in
+  let replay ~cold events =
+    match
+      Loadgen.session ~connect ~seed:42 ~cold ~resolve_every:1
+        c.Lab.Corpus.churn_path c.Lab.Corpus.churn_base events
+    with
+    | Error m -> Alcotest.failf "session: %s" m
+    | Ok r ->
+        Alcotest.(check (list string)) "no failures" [] r.Loadgen.se_failures;
+        r
+  in
+  let warm_seeded r =
+    List.fold_left
+      (fun acc s -> acc + s.Sap_server.Protocol.s_warm)
+      0 r.Loadgen.se_summaries
+  in
+  let warm = replay ~cold:false c.Lab.Corpus.churn_events in
+  Alcotest.(check int) "events" 8 warm.Loadgen.se_events;
+  Alcotest.(check int) "open + 8 resolves" 9
+    (List.length warm.Loadgen.se_summaries);
+  Alcotest.(check bool) "warm-seeded" true (warm_seeded warm > 0);
+  let cold = replay ~cold:true c.Lab.Corpus.churn_events in
+  Alcotest.(check int) "cold: open + 8 resolves" 9
+    (List.length cold.Loadgen.se_summaries);
+  Alcotest.(check int) "cold: nothing warm-seeded" 0 (warm_seeded cold);
+  let smoke = replay ~cold:false [] in
+  Alcotest.(check int) "-i: open + one resolve" 2
+    (List.length smoke.Loadgen.se_summaries);
+  match Loadgen.session_json warm with
+  | Obs.Json.Obj fields ->
+      Alcotest.(check bool) "schema" true
+        (List.assoc_opt "schema" fields
+        = Some (Obs.Json.String "sap-session-report v1"));
+      Alcotest.(check bool) "failures" true
+        (List.assoc_opt "failures" fields = Some (Obs.Json.Int 0))
+  | _ -> Alcotest.fail "session report is not an object"
 
 let run () =
   Alcotest.run "lab"
@@ -834,6 +880,7 @@ let run () =
           case "closed loop deterministic" loadgen_closed_deterministic;
           case "config validation" loadgen_validates_config;
           case "open loop over socketpairs" loadgen_open_loop_over_socketpairs;
+          case "session replay over socketpairs" session_replay_over_socketpairs;
         ] );
     ]
 

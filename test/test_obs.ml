@@ -774,7 +774,12 @@ let report_write_is_atomic () =
       let s = really_input_string ic len in
       close_in ic;
       Alcotest.(check bool) "written content parses" true
-        (Obs.Json.of_string s = Ok doc))
+        (Obs.Json.of_string s = Ok doc);
+      (* Same permission bits as a file [open_out] creates next to it. *)
+      let plain = Filename.concat dir "plain.txt" in
+      close_out (open_out plain);
+      let perm f = (Unix.stat f).Unix.st_perm in
+      Alcotest.(check int) "mode matches open_out" (perm plain) (perm target))
 
 (* ---------- Report ---------- *)
 
