@@ -26,11 +26,11 @@ let abl1 () =
            let path, tasks = band_instance seed in
            let part, t_part =
              Bench_util.timed (fun () ->
-                 Sap.Elevator.solve ~k:4 ~ell:1 ~q:2 ~strategy:`Partition path tasks)
+                 Sap.Elevator.solve_partition ~k:4 ~ell:1 ~q:2 path tasks)
            in
            let direct, t_direct =
              Bench_util.timed (fun () ->
-                 Sap.Elevator.solve ~k:4 ~ell:1 ~q:2 ~strategy:`Direct path tasks)
+                 Sap.Elevator.solve ~k:4 ~ell:1 ~q:2 path tasks)
            in
            let wp = Core.Solution.sap_weight part.Sap.Elevator.solution in
            let wd = Core.Solution.sap_weight direct.Sap.Elevator.solution in

@@ -152,7 +152,7 @@ let f6 () =
   let r = Sap.Elevator.optimal_band ~cap path tasks in
   let sol = r.Sap.Elevator.solution in
   let elevation = 1 lsl (k - q) in
-  let s1, s2 = Sap.Elevator.partition_elevated ~elevation path ~cap sol in
+  let s1, s2 = Sap.Elevator.partition_elevated ~elevation sol in
   Printf.printf "  band k=%d, elevation threshold beta*2^k = %d\n" k elevation;
   Printf.printf "  optimal band weight: %.1f\n" (Core.Solution.sap_weight sol);
   Printf.printf "  S1 (lifted low tasks): %d tasks, weight %.1f\n" (List.length s1)

@@ -1,31 +1,3 @@
-type t = { path : Path.t; tasks : Task.t array }
-
-let create path tasks =
-  let m = Path.num_edges path in
-  let check (j : Task.t) =
-    if j.Task.last_edge >= m then
-      invalid_arg
-        (Printf.sprintf "Instance.create: task uses edge %d but path has %d edges"
-           j.Task.last_edge m)
-  in
-  List.iter check tasks;
-  let tasks = Array.of_list tasks in
-  let tasks = Array.mapi (fun i j -> Task.with_id j i) tasks in
-  { path; tasks }
-
-let num_tasks t = Array.length t.tasks
-
-let num_edges t = Path.num_edges t.path
-
-let task t i = t.tasks.(i)
-
-let task_list t = Array.to_list t.tasks
-
-let bottleneck t j = Path.bottleneck_of t.path j
-
-let tasks_using_edge t e =
-  Array.to_list t.tasks |> List.filter (fun j -> Task.uses j e)
-
 let load_profile path ts =
   let m = Path.num_edges path in
   let diff = Array.make (m + 1) 0 in
@@ -44,12 +16,3 @@ let load_profile path ts =
 
 let max_load path ts =
   Array.fold_left max 0 (load_profile path ts)
-
-let is_feasible_task t j = j.Task.demand <= bottleneck t j
-
-let total_weight t = Array.fold_left (fun acc j -> acc +. j.Task.weight) 0.0 t.tasks
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@,%a@]" Path.pp t.path
-    (Format.pp_print_list Task.pp)
-    (task_list t)

@@ -1,27 +1,7 @@
-(** A SAP (equivalently UFPP) instance: a capacitated path and a task set.
-
-    Tasks are re-numbered [0 .. n-1] at construction; all algorithms pass
-    {!Task.t} values around directly, so sub-instances are just task lists
-    over the same path and no re-indexing ever happens. *)
-
-type t = { path : Path.t; tasks : Task.t array }
-
-val create : Path.t -> Task.t list -> t
-(** Validates that every task's edge range lies on the path and re-assigns
-    ids [0 .. n-1] in list order. *)
-
-val num_tasks : t -> int
-
-val num_edges : t -> int
-
-val task : t -> int -> Task.t
-
-val task_list : t -> Task.t list
-
-val bottleneck : t -> Task.t -> int
-(** [b(j)]. *)
-
-val tasks_using_edge : t -> int -> Task.t list
+(** Loads of a task list on a path.  An instance is just a path and a task
+    list: all algorithms pass {!Task.t} values around directly, so
+    sub-instances are task lists over the same path and no re-indexing
+    ever happens. *)
 
 val load_profile : Path.t -> Task.t list -> int array
 (** [load_profile p ts].(e) is the load [d(S(e))] of the task list on edge
@@ -29,11 +9,3 @@ val load_profile : Path.t -> Task.t list -> int array
 
 val max_load : Path.t -> Task.t list -> int
 (** The paper's [LOAD(J)]: maximum per-edge load. *)
-
-val is_feasible_task : t -> Task.t -> bool
-(** [d_j <= b(j)] — the task fits alone.  Tasks violating this can never be
-    scheduled and are typically filtered by generators. *)
-
-val total_weight : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -17,6 +17,7 @@ let make_task ~id ~src ~dst ~demand ~weight ~t_edges =
   if src = dst || src < 0 || dst < 0 || src >= t_edges || dst >= t_edges then
     invalid_arg "Ring.make_task: bad terminals";
   if demand <= 0 then invalid_arg "Ring.make_task: demand must be positive";
+  if not (Float.is_finite weight) then invalid_arg "Ring.make_task: weight must be finite";
   if weight < 0.0 then invalid_arg "Ring.make_task: negative weight";
   { id; src; dst; demand; weight }
 

@@ -22,6 +22,8 @@ type solution = (task * int * direction) list
 (** (task, height, routing). *)
 
 val make_task : id:int -> src:int -> dst:int -> demand:int -> weight:float -> t_edges:int -> task
+(** Validates the terminals against [t_edges], [demand > 0] and a finite
+    [weight >= 0]. *)
 
 val create : int array -> task list -> t
 (** Validates terminals against the number of edges and re-numbers ids. *)

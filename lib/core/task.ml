@@ -10,13 +10,14 @@ let make ~id ~first_edge ~last_edge ~demand ~weight =
   if first_edge < 0 || first_edge > last_edge then
     invalid_arg "Task.make: bad edge range";
   if demand <= 0 then invalid_arg "Task.make: demand must be positive";
-  if weight < 0.0 || Float.is_nan weight then
-    invalid_arg "Task.make: weight must be non-negative";
+  if not (Float.is_finite weight) then invalid_arg "Task.make: weight must be finite";
+  if weight < 0.0 then invalid_arg "Task.make: weight must be non-negative";
   { id; first_edge; last_edge; demand; weight }
 
 let with_id t id = { t with id }
 
 let with_weight t weight =
+  if not (Float.is_finite weight) then invalid_arg "Task.with_weight: not finite";
   if weight < 0.0 then invalid_arg "Task.with_weight: negative";
   { t with weight }
 

@@ -7,7 +7,9 @@
     are floats. *)
 
 type t = private {
-  id : int;  (** Unique within an instance; assigned by {!Instance.create}. *)
+  id : int;
+      (** Unique within an instance: every instance parser rejects a
+          repeated id, and generators number tasks [0 .. n-1]. *)
   first_edge : int;
   last_edge : int;
   demand : int;
@@ -15,13 +17,15 @@ type t = private {
 }
 
 val make : id:int -> first_edge:int -> last_edge:int -> demand:int -> weight:float -> t
-(** Validates [first_edge <= last_edge], [demand > 0] and [weight >= 0]. *)
+(** Validates [0 <= first_edge <= last_edge], [demand > 0] and a finite
+    [weight >= 0]. *)
 
 val with_id : t -> int -> t
 (** Copy with a new id (used by instance construction). *)
 
 val with_weight : t -> float -> t
-(** Copy with a new weight (used by the local-ratio decompositions). *)
+(** Copy with a new weight (used by the local-ratio decompositions);
+    validated as in {!make}. *)
 
 val uses : t -> int -> bool
 (** [uses j e] — does edge [e] lie on [I_j]? *)

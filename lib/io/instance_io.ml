@@ -92,6 +92,18 @@ let instance_of_string_as ~header:expected s =
         then Ok ()
         else Error "task leaves the path"
       in
+      let seen = Hashtbl.create 64 in
+      let rec unique = function
+        | [] -> Ok ()
+        | (j : Task.t) :: rest ->
+            if Hashtbl.mem seen j.Task.id then
+              Error (Printf.sprintf "duplicate task id %d" j.Task.id)
+            else begin
+              Hashtbl.add seen j.Task.id ();
+              unique rest
+            end
+      in
+      let* () = unique tasks in
       Ok (path, tasks)
 
 let instance_of_string s = instance_of_string_as ~header:"sap-instance v1" s
@@ -100,9 +112,8 @@ let instance_of_string s = instance_of_string_as ~header:"sap-instance v1" s
 
 (* The round-instance carrier is deliberately isomorphic to
    sap-instance: only the header differs, so every generator, pretty
-   printer and fuzzer transfers.  Validation beyond shape (unique ids,
-   fits-alone) lives in Round.Instance.create, exactly as Path/Task
-   validation lives in Core here. *)
+   printer and fuzzer transfers.  The fits-alone check lives in
+   Round.Instance.create. *)
 
 let round_instance_to_string path tasks =
   instance_to_string_as ~header:"round-instance v1" path tasks

@@ -17,8 +17,10 @@
     ...
     v}
 
-    The CLI uses these for [gen | solve | check] pipelines; round-tripping
-    is property-tested. *)
+    Task ids must be unique and weights finite; the parser rejects an
+    instance otherwise, so the CLI, the corpus and every protocol body
+    share one check.  The CLI uses these for [gen | solve | check]
+    pipelines; round-tripping is property-tested. *)
 
 val instance_to_string : Core.Path.t -> Core.Task.t list -> string
 
@@ -57,9 +59,9 @@ val round_instance_to_string : Core.Path.t -> Core.Task.t list -> string
     ...
     v}
 
-    Semantic validation (unique ids, every task fits alone) lives in
-    [Round.Instance.create]; this layer only checks shape, like
-    everything else here. *)
+    Parsing validates both carriers alike: shape, tasks on the path,
+    unique ids and finite non-negative weights.  Whether every task fits
+    alone is checked by [Round.Instance.create]. *)
 
 val round_instance_of_string :
   string -> (Core.Path.t * Core.Task.t list, string) result

@@ -29,7 +29,7 @@ let ell_for_eps ~eps ~q =
 
 let positive_mod a p = (a mod p + p) mod p
 
-let run ~ell ~q ?strategy ?max_states path ts =
+let run ~ell ~q ?max_states path ts =
   if ell < 1 || q < 1 then invalid_arg "Almost_uniform.run: ell, q >= 1";
   Obs.Trace.with_span "almost_uniform.run"
     ~attrs:
@@ -50,7 +50,7 @@ let run ~ell ~q ?strategy ?max_states path ts =
               ("tasks", string_of_int (List.length band_tasks));
             ]
         @@ fun () ->
-        let r = Elevator.solve ~k ~ell ~q ?strategy ?max_states path band_tasks in
+        let r = Elevator.solve ~k ~ell ~q ?max_states path band_tasks in
         Obs.Metrics.incr m_bands;
         if not r.Elevator.exact then Obs.Metrics.incr m_inexact_bands;
         Obs.Trace.add_attr "exact" (string_of_bool r.Elevator.exact);

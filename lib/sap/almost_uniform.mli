@@ -12,8 +12,9 @@
       [ell/(ell+q) * 1/alpha] fraction, so [ell = q/eps] yields
       [(1+eps) * alpha]).
 
-    With the Elevator as band solver, [alpha = 2]: the [(2+eps)]
-    medium-task algorithm. *)
+    The band solver is {!Elevator.solve}, the optimal beta-elevated
+    solution of the band; Lemma 14 makes it 2-approximate, so [alpha = 2]:
+    the [(2+eps)] medium-task algorithm. *)
 
 type band_outcome = {
   k : int;
@@ -35,12 +36,12 @@ val ell_for_eps : eps:float -> q:int -> int
 val run :
   ell:int ->
   q:int ->
-  ?strategy:[ `Partition | `Direct ] ->
   ?max_states:int ->
   Core.Path.t ->
   Core.Task.t list ->
   result
-(** Runs the framework with {!Elevator.solve} on every band.  Each
+(** Runs the framework with {!Elevator.solve} on every band
+    ([max_states] is its state cap).  Each
     candidate union is feasibility-checked; infeasible candidates (never
     observed; guarded for integer edge cases of bands with [k < q]) are
     skipped. *)

@@ -14,26 +14,10 @@ let m_candidate_heights = Obs.Metrics.counter "elevator.candidate_heights"
 
 let m_band_solves = Obs.Metrics.counter "elevator.band_solves"
 
-type state = {
-  alive : (Task.t * int) list;  (* sorted by task id *)
-  weight : float;
-  placed : Core.Solution.sap;
-}
-
-let state_key st =
-  List.map (fun ((j : Task.t), h) -> (j.Task.id, h)) st.alive
-
-let insert_alive alive (j, h) =
-  let rec go = function
-    | [] -> [ (j, h) ]
-    | ((i : Task.t), _) as hd :: tl when i.Task.id < (j : Task.t).Task.id ->
-        hd :: go tl
-    | rest -> (j, h) :: rest
-  in
-  go alive
-
-let vertical_conflict (j : Task.t) p ((i : Task.t), hi) =
-  p < hi + i.Task.demand && hi < p + j.Task.demand
+(* Does the height interval [\[p, top)] meet an alive task's? *)
+let rec collides p top = function
+  | [] -> false
+  | ((i : Task.t), h) :: rest -> (p < h + i.Task.demand && h < top) || collides p top rest
 
 (* Candidate heights: bounded distinct subset sums of all demands; the
    gravity argument makes this complete.  Capped to keep adversarial
@@ -50,11 +34,11 @@ let height_candidates ~cap ~min_height ts =
        sums >= min_height or subset sums lifted by min_height (the shape
        Lemma 14's partition produces), so both families are candidates. *)
     let lifted = List.map (fun h -> h + min_height) sums in
-    let merged =
+    let both =
       List.sort_uniq Int.compare
         (List.filter (fun h -> h >= min_height && h < cap) (sums @ lifted))
     in
-    (merged, exact)
+    (both, exact)
   end
 
 let optimal_band ~cap ?(min_height = 0) ?(max_states = 20000) path ts =
@@ -65,119 +49,45 @@ let optimal_band ~cap ?(min_height = 0) ?(max_states = 20000) path ts =
   match ts with
   | [] -> { solution = []; exact = true }
   | _ ->
-      let m = Path.num_edges clipped in
       let candidates, cands_exact = height_candidates ~cap ~min_height ts in
       Obs.Metrics.incr m_band_solves;
       Obs.Metrics.add m_candidate_heights (List.length candidates);
-      let exact = ref cands_exact in
-      let starters = Array.make m [] in
-      List.iter
-        (fun (j : Task.t) ->
-          starters.(j.Task.first_edge) <- j :: starters.(j.Task.first_edge))
-        ts;
-      (* Stable processing order inside an edge keeps runs reproducible. *)
-      Array.iteri
-        (fun e js -> starters.(e) <- List.sort Task.compare js)
-        starters;
-      let merge states =
-        let tbl = Hashtbl.create (List.length states) in
-        List.iter
-          (fun st ->
-            let key = state_key st in
-            match Hashtbl.find_opt tbl key with
-            | Some st' when st'.weight >= st.weight -> ()
-            | _ -> Hashtbl.replace tbl key st)
-          states;
-        Hashtbl.fold (fun _ st acc -> st :: acc) tbl []
-      in
-      let truncate states =
-        if List.length states <= max_states then states
-        else begin
-          exact := false;
-          Obs.Metrics.incr m_truncations;
-          let sorted =
-            List.sort (fun a b -> Float.compare b.weight a.weight) states
+      (* Candidates ascend, so the first one past [j]'s ceiling ends the
+         list. *)
+      let heights (j : Task.t) =
+        let highest = Path.bottleneck_of clipped j - j.Task.demand in
+        fun alive ->
+          let rec fit = function
+            | p :: rest when p <= highest ->
+                if collides p (p + j.Task.demand) alive then fit rest else p :: fit rest
+            | _ -> []
           in
-          List.filteri (fun i _ -> i < max_states) sorted
-        end
+          fit candidates
       in
-      let expand_task states (j : Task.t) =
-        let ceiling = Path.bottleneck_of clipped j in
-        let with_placements st =
-          let feasible_heights =
-            List.filter
-              (fun p ->
-                p + j.Task.demand <= ceiling
-                && not (List.exists (vertical_conflict j p) st.alive))
-              candidates
-          in
-          st
-          :: List.map
-               (fun p ->
-                 {
-                   alive = insert_alive st.alive (j, p);
-                   weight = st.weight +. j.Task.weight;
-                   placed = (j, p) :: st.placed;
-                 })
-               feasible_heights
-        in
-        List.concat_map with_placements states |> merge |> truncate
+      let r =
+        Ufpp.Band_sweep.run ~max_states ~edges:(Path.num_edges clipped) ~heights ts
       in
-      let drop_expired e states =
-        List.map
-          (fun st ->
-            {
-              st with
-              alive =
-                List.filter (fun ((i : Task.t), _) -> i.Task.last_edge >= e) st.alive;
-            })
-          states
-        |> merge
-      in
-      let initial = [ { alive = []; weight = 0.0; placed = [] } ] in
-      let final =
-        let rec sweep e states =
-          if e = m then states
-          else
-            let states = drop_expired e states in
-            let states = List.fold_left expand_task states starters.(e) in
-            (* Counting live states is O(|states|); only pay when observed. *)
-            if Obs.Metrics.enabled () then
-              Obs.Metrics.add m_dp_states (List.length states);
-            sweep (e + 1) states
-        in
-        sweep 0 initial
-      in
-      let best =
-        List.fold_left
-          (fun acc st ->
-            match acc with
-            | Some b when b.weight >= st.weight -> acc
-            | _ -> Some st)
-          None final
-      in
-      let solution = match best with Some st -> st.placed | None -> [] in
-      { solution; exact = !exact }
+      Obs.Metrics.add m_dp_states r.Ufpp.Band_sweep.states;
+      Obs.Metrics.add m_truncations r.Ufpp.Band_sweep.truncations;
+      let exact = cands_exact && r.Ufpp.Band_sweep.truncations = 0 in
+      { solution = r.Ufpp.Band_sweep.placed; exact }
 
-let partition_elevated ~elevation _path ~cap:_ sol =
+let partition_elevated ~elevation sol =
   let low, high = List.partition (fun (_, h) -> h < elevation) sol in
   (Core.Solution.lift low elevation, high)
 
-let solve ~k ~ell ~q ?(strategy = `Partition) ?max_states path ts =
-  let cap = 1 lsl (k + ell) in
-  let elevation = if k >= q then 1 lsl (k - q) else 1 in
-  match strategy with
-  | `Direct ->
-      (* One DP over elevated heights only: optimal among beta-elevated
-         solutions, which Lemma 14 proves is a 2-approximation. *)
-      optimal_band ~cap ~min_height:elevation ?max_states path ts
-  | `Partition ->
-      let r = optimal_band ~cap ?max_states path ts in
-      let s1, s2 = partition_elevated ~elevation path ~cap r.solution in
-      (* S2 is a sub-solution of a feasible solution, hence feasible; S1 is
-         feasible for (1-2beta)-small tasks by Lemma 14 — machine-checked,
-         and discarded if the integer edge cases of a tiny band break it. *)
-      let s1_ok = Result.is_ok (Core.Checker.sap_feasible path s1) in
-      let w1 = if s1_ok then Core.Solution.sap_weight s1 else neg_infinity in
-      let w2 = Core.Solution.sap_weight s2 in
-      { solution = (if w1 >= w2 then s1 else s2); exact = r.exact }
+let elevation ~k ~q = if k >= q then 1 lsl (k - q) else 1
+
+let solve ~k ~ell ~q ?max_states path ts =
+  optimal_band ~cap:(1 lsl (k + ell)) ~min_height:(elevation ~k ~q) ?max_states path ts
+
+let solve_partition ~k ~ell ~q ?max_states path ts =
+  let r = optimal_band ~cap:(1 lsl (k + ell)) ?max_states path ts in
+  let s1, s2 = partition_elevated ~elevation:(elevation ~k ~q) r.solution in
+  (* S2 is a sub-solution of a feasible solution, hence feasible; S1 is
+     feasible for (1-2beta)-small tasks by Lemma 14 — machine-checked,
+     and discarded if the integer edge cases of a tiny band break it. *)
+  let s1_ok = Result.is_ok (Core.Checker.sap_feasible path s1) in
+  let w1 = if s1_ok then Core.Solution.sap_weight s1 else neg_infinity in
+  let w2 = Core.Solution.sap_weight s2 in
+  { solution = (if w1 >= w2 then s1 else s2); exact = r.exact }

@@ -1,18 +1,18 @@
-(** Algorithm Elevator: optimal SAP on an almost-uniform band, partitioned
-    into a beta-elevated 2-approximation (Lemmas 13-15).
+(** Algorithm Elevator: the optimal beta-elevated SAP solution of an
+    almost-uniform band, a 2-approximation (Lemmas 13-15 and the remark
+    after Lemma 15).
 
     {2 The dynamic program (Lemma 13)}
 
-    Edges are swept left to right; a DP state is the set of *alive* tasks
-    (those whose path covers the current edge) together with their heights.
-    When a task starts, it is either skipped or placed at a candidate
-    height; conflicts are checked against the alive set, which is complete
-    because two overlapping tasks are simultaneously alive on every shared
-    edge.  Candidate heights are the bounded distinct subset sums of all
-    demands — complete by the gravity argument (Observation 11 /
-    Lemma 12(ii)).  States with equal (alive-set, heights) keys are merged
-    keeping the max weight, which is exactly the paper's table
-    [Pi(e_i, S_i, h_i)] evaluated lazily on reachable states only.
+    {!Ufpp.Band_sweep} sweeps the edges left to right; a DP state is the
+    set of *alive* tasks (those whose path covers the current edge)
+    together with their heights.  When a task starts, it is either skipped
+    or placed at a candidate height that clears the alive set; candidate
+    heights are the bounded distinct subset sums of all demands — complete
+    by the gravity argument (Observation 11 / Lemma 12(ii)).  States with
+    equal (alive-set, heights) keys are merged keeping the max weight,
+    which is exactly the paper's table [Pi(e_i, S_i, h_i)] evaluated
+    lazily on reachable states only.
 
     The paper's bound on the table size uses [L = 2^ell / delta] tasks per
     edge (Lemma 12(i)); we do not materialise the full [O(n^(L+L^2))] table
@@ -37,12 +37,10 @@ val optimal_band :
     defaults to 20000 live states per edge.  [min_height] (default 0)
     restricts candidate heights to [>= min_height]: with
     [min_height = beta * 2^k] this computes the optimal *beta-elevated*
-    solution directly — the alternative the paper notes after Lemma 15. *)
+    solution directly, as {!solve} does. *)
 
 val partition_elevated :
   elevation:int ->
-  Core.Path.t ->
-  cap:int ->
   Core.Solution.sap ->
   Core.Solution.sap * Core.Solution.sap
 (** Lemma 14: split [(S,h)] into [S1 = { h < elevation }] lifted by
@@ -55,16 +53,26 @@ val solve :
   k:int ->
   ell:int ->
   q:int ->
-  ?strategy:[ `Partition | `Direct ] ->
   ?max_states:int ->
   Core.Path.t ->
   Core.Task.t list ->
   result
-(** The full Elevator.  With [`Partition] (default, the paper's Lemma 15):
-    optimal band solution, partitioned at elevation [2^(k-q)] (clamped to
-    at least 1), better feasible half returned — 2-approximate and
-    beta-elevated for [beta >= 2^-q].  With [`Direct] (the alternative the
-    paper notes after Lemma 15): one DP restricted to elevated heights,
-    returning the optimal elevated solution directly — also 2-approximate
-    by Lemma 14, and never worse than either partition half.  The ABL
-    bench compares the two. *)
+(** The Elevator of band [k]: the remark after Lemma 15 — one DP over
+    heights at least the elevation [beta * 2^k = 2^(k-q)] (clamped to at
+    least 1), i.e. {!optimal_band} with that [min_height], returning the
+    optimal beta-elevated solution for [beta >= 2^-q].  Lemma 14 makes it
+    2-approximate, and it is never lighter than either half of
+    {!solve_partition}. *)
+
+val solve_partition :
+  k:int ->
+  ell:int ->
+  q:int ->
+  ?max_states:int ->
+  Core.Path.t ->
+  Core.Task.t list ->
+  result
+(** Lemma 15 as stated: the optimal band solution, partitioned at the
+    elevation of {!solve}, better feasible half returned — 2-approximate
+    and beta-elevated.  Kept as the reference {!solve} is measured against
+    (bench ABL1 and the tests' Direct >= Partition properties). *)

@@ -6,104 +6,27 @@ type result = {
   exact : bool;
 }
 
-type state = {
-  alive : int list;  (* sorted ids of selected tasks crossing the edge *)
-  load : int;        (* their total demand (= load on the current edge) *)
-  weight : float;
-  chosen : Task.t list;
-}
+(* [j] joins the selected tasks [alive] when the load on every edge of its
+   path, [j] included, stays within capacity.  Checking [j]'s whole path
+   when it starts is enough: on each edge, the task that starts last sees
+   all the others alive. *)
+let fits path (j : Task.t) alive =
+  let load e =
+    List.fold_left
+      (fun acc ((i : Task.t), _) -> if i.Task.last_edge >= e then acc + i.Task.demand else acc)
+      j.Task.demand alive
+  in
+  let rec ok e = e > j.Task.last_edge || (load e <= Path.capacity path e && ok (e + 1)) in
+  ok j.Task.first_edge
+
+(* UFPP has no heights: a selected task sits at 0. *)
+let ground = [ 0 ]
 
 let solve ?cap ?(max_states = 50000) path ts =
   let clipped = match cap with Some c -> Path.clip path c | None -> path in
   let ts =
     List.filter (fun (j : Task.t) -> j.Task.demand <= Path.bottleneck_of clipped j) ts
   in
-  match ts with
-  | [] -> { solution = []; exact = true }
-  | _ ->
-      let m = Path.num_edges clipped in
-      let exact = ref true in
-      let starters = Array.make m [] in
-      let by_id = Hashtbl.create (List.length ts) in
-      List.iter
-        (fun (j : Task.t) ->
-          Hashtbl.replace by_id j.Task.id j;
-          starters.(j.Task.first_edge) <- j :: starters.(j.Task.first_edge))
-        ts;
-      Array.iteri (fun e js -> starters.(e) <- List.sort Task.compare js) starters;
-      let merge states =
-        let tbl = Hashtbl.create (List.length states) in
-        List.iter
-          (fun st ->
-            match Hashtbl.find_opt tbl st.alive with
-            | Some st' when st'.weight >= st.weight -> ()
-            | _ -> Hashtbl.replace tbl st.alive st)
-          states;
-        Hashtbl.fold (fun _ st acc -> st :: acc) tbl []
-      in
-      let truncate states =
-        if List.length states <= max_states then states
-        else begin
-          exact := false;
-          List.sort (fun a b -> Float.compare b.weight a.weight) states
-          |> List.filteri (fun i _ -> i < max_states)
-        end
-      in
-      let drop_expired e states =
-        List.map
-          (fun st ->
-            let alive, load =
-              List.fold_left
-                (fun (alive, load) id ->
-                  let j = Hashtbl.find by_id id in
-                  if j.Task.last_edge >= e then (id :: alive, load + j.Task.demand)
-                  else (alive, load))
-                ([], 0) st.alive
-            in
-            { st with alive = List.sort Int.compare alive; load })
-          states
-        |> merge
-      in
-      let expand_task e states (j : Task.t) =
-        let take st =
-          let load = st.load + j.Task.demand in
-          if load <= Path.capacity clipped e then
-            Some
-              {
-                alive = List.sort Int.compare (j.Task.id :: st.alive);
-                load;
-                weight = st.weight +. j.Task.weight;
-                chosen = j :: st.chosen;
-              }
-          else None
-        in
-        List.concat_map (fun st -> st :: Option.to_list (take st)) states
-        |> merge |> truncate
-      in
-      (* Note: the load check above only guards the *current* edge; later
-         edges are guarded when reached because alive tasks keep
-         contributing to [load] after [drop_expired] recomputes it and each
-         new insertion re-checks the running edge's capacity. *)
-      let rec sweep e states =
-        if e = m then states
-        else
-          let states = drop_expired e states in
-          let states =
-            (* Re-check the current edge's capacity against the surviving
-               alive load (capacities can drop from one edge to the next). *)
-            List.filter (fun st -> st.load <= Path.capacity clipped e) states
-          in
-          let states = List.fold_left (expand_task e) states starters.(e) in
-          sweep (e + 1) states
-      in
-      let final = sweep 0 [ { alive = []; load = 0; weight = 0.0; chosen = [] } ] in
-      let best =
-        List.fold_left
-          (fun acc st ->
-            match acc with
-            | Some b when b.weight >= st.weight -> acc
-            | _ -> Some st)
-          None final
-      in
-      let solution = match best with Some st -> st.chosen | None -> [] in
-      { solution; exact = !exact }
+  let heights j alive = if fits clipped j alive then ground else [] in
+  let r = Band_sweep.run ~max_states ~edges:(Path.num_edges clipped) ~heights ts in
+  { solution = List.map fst r.Band_sweep.placed; exact = r.Band_sweep.truncations = 0 }

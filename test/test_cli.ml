@@ -332,6 +332,18 @@ let unreadable_file_is_clean_error () =
         expect_clean "show missing" [ "show"; "-i"; missing ];
         (* A directory fails the same way, not with a raw Sys_error. *)
         expect_clean "solve directory" [ "solve"; "-i"; dir ];
+        (* Invalid instances are input errors, not solver failures. *)
+        let write name contents =
+          let file = Filename.concat dir name in
+          Sap_io.Instance_io.write_file file contents;
+          file
+        in
+        expect_clean "solve duplicate id"
+          [ "solve"; "-a"; "exact"; "-i";
+            write "dup.sap"
+              "sap-instance v1\ncapacities 10 10 10 10\ntask 0 0 1 3 5\ntask 0 2 3 4 6\n" ];
+        expect_clean "solve infinite weight"
+          [ "solve"; "-i"; write "inf.sap" "sap-instance v1\ncapacities 10 10\ntask 0 0 1 3 inf\n" ];
         (* Failures raised inside a command reach the same handler, not
            cmdliner's exit-125 "internal error". *)
         let corpus = Lab.Corpus.generate ~dir ~seed:1 ~variants:1 () in

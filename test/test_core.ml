@@ -72,32 +72,6 @@ let path_capacities_copy () =
 
 (* ---------- Instance ---------- *)
 
-let instance_reassigns_ids () =
-  let p = Path.uniform ~edges:3 ~capacity:5 in
-  let inst = Core.Instance.create p [ mk 42 0 1 1; mk 42 1 2 1 ] in
-  Alcotest.(check int) "first id" 0 (Core.Instance.task inst 0).Task.id;
-  Alcotest.(check int) "second id" 1 (Core.Instance.task inst 1).Task.id
-
-let instance_rejects_out_of_path () =
-  let p = Path.uniform ~edges:2 ~capacity:5 in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Core.Instance.create p [ mk 0 0 5 1 ]);
-       false
-     with Invalid_argument _ -> true)
-
-let instance_queries () =
-  let p = Path.uniform ~edges:4 ~capacity:10 in
-  let inst = Core.Instance.create p [ mk ~w:2.0 0 0 1 3; mk ~w:3.0 0 2 3 4 ] in
-  Alcotest.(check int) "tasks on edge 0" 1
-    (List.length (Core.Instance.tasks_using_edge inst 0));
-  Alcotest.(check int) "tasks on edge 2" 1
-    (List.length (Core.Instance.tasks_using_edge inst 2));
-  Alcotest.(check bool) "total weight" true
-    (Helpers.close_enough (Core.Instance.total_weight inst) 5.0);
-  Alcotest.(check bool) "feasible task" true
-    (Core.Instance.is_feasible_task inst (Core.Instance.task inst 0))
-
 let path_bottleneck_edge () =
   let p = Path.create [| 5; 2; 7 |] in
   Alcotest.(check int) "argmin edge" 1 (Path.bottleneck_edge p ~first:0 ~last:2);
@@ -459,9 +433,6 @@ let () =
         ] );
       ( "instance",
         [
-          case "ids" instance_reassigns_ids;
-          case "out of path" instance_rejects_out_of_path;
-          case "queries" instance_queries;
           case "bottleneck edge" path_bottleneck_edge;
           case "residual" classify_residual;
           case "ring validation" ring_task_validation;

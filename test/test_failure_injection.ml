@@ -153,8 +153,8 @@ let elevator_direct_at_least_partition =
       let caps = Array.init 5 (fun _ -> (1 lsl k) + Util.Prng.int g (cap - (1 lsl k))) in
       let path = Path.create caps in
       let tasks = Gen.Workloads.ratio_tasks ~prng:g ~path ~n:6 ~lo:0.25 ~hi:0.5 () in
-      let part = Sap.Elevator.solve ~k ~ell ~q ~strategy:`Partition path tasks in
-      let direct = Sap.Elevator.solve ~k ~ell ~q ~strategy:`Direct path tasks in
+      let part = Sap.Elevator.solve_partition ~k ~ell ~q path tasks in
+      let direct = Sap.Elevator.solve ~k ~ell ~q path tasks in
       Result.is_ok (Core.Checker.sap_feasible path direct.Sap.Elevator.solution)
       && List.for_all (fun (_, h) -> h >= 1 lsl (k - q)) direct.Sap.Elevator.solution
       && Core.Solution.sap_weight direct.Sap.Elevator.solution

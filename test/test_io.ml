@@ -48,7 +48,24 @@ let rejects_task_off_path () =
 let rejects_invalid_task () =
   let s = "sap-instance v1\ncapacities 4\ntask 0 0 0 0 1.0\n" in
   Alcotest.(check bool) "zero demand" true
-    (Result.is_error (Sap_io.Instance_io.instance_of_string s))
+    (Result.is_error (Sap_io.Instance_io.instance_of_string s));
+  let dup = "capacities 4 4\ntask 0 0 0 1 1.0\ntask 0 1 1 1 1.0\n" in
+  Alcotest.(check bool) "duplicate id" true
+    (Result.is_error (Sap_io.Instance_io.instance_of_string ("sap-instance v1\n" ^ dup)));
+  Alcotest.(check bool) "duplicate id, round carrier" true
+    (Result.is_error
+       (Sap_io.Instance_io.round_instance_of_string ("round-instance v1\n" ^ dup)));
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) ("weight " ^ w) true
+        (Result.is_error
+           (Sap_io.Instance_io.instance_of_string
+              ("sap-instance v1\ncapacities 4\ntask 0 0 0 1 " ^ w ^ "\n")));
+      Alcotest.(check bool) ("ring weight " ^ w) true
+        (Result.is_error
+           (Sap_io.Instance_io.ring_of_string
+              ("ring-instance v1\ncapacities 4 4 4\nrtask 0 0 1 1 " ^ w ^ "\n"))))
+    [ "inf"; "-inf"; "nan" ]
 
 let rejects_unknown_place_id () =
   let t = Task.make ~id:0 ~first_edge:0 ~last_edge:0 ~demand:1 ~weight:1.0 in

@@ -338,6 +338,10 @@ let protocol_rejects_malformed () =
     "sap-request v1 0 solve\nround-instance v1\ncapacities 4\nend\n";
   expect_error "seed attr on round-solve"
     "sap-request v1 0 round-solve seed=7\nround-instance v1\ncapacities 4\nend\n";
+  expect_error "duplicate task id"
+    "sap-request v1 0 solve\nsap-instance v1\ncapacities 10 10 10 10\ntask 0 0 1 3 5\ntask 0 2 3 4 6\nend\n";
+  expect_error "infinite add-task weight"
+    "sap-request v1 0 add-task session=1 task-id=3 first=0 last=1 demand=2 weight=inf\nend\n";
   match Proto.response_of_string ~tasks_for:(fun _ -> None)
           "sap-response v1 3 solved scheduled=1 weight=1 cached=0 time-ms=1\nsap-solution v1\nend\n"
   with
