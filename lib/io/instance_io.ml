@@ -39,6 +39,18 @@ let parse_int what s =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "expected integer for %s, got %S" what s)
 
+let max_quantity = 1 lsl 40
+
+let check_quantity what v =
+  if v <= max_quantity then Ok v
+  else
+    Error
+      (Printf.sprintf "%s %d exceeds the limit %d (2^40)" what v max_quantity)
+
+let parse_quantity what s =
+  let* v = parse_int what s in
+  check_quantity what v
+
 let parse_float what s =
   match float_of_string_opt s with
   | Some f -> Ok f
@@ -67,7 +79,7 @@ let instance_of_string_as ~header:expected s =
       let* caps =
         match String.split_on_char ' ' caps_line |> List.filter (( <> ) "") with
         | "capacities" :: values when values <> [] ->
-            map_result (parse_int "capacity") values
+            map_result (parse_quantity "capacity") values
         | _ -> Error "malformed capacities line"
       in
       let* path =
@@ -80,7 +92,7 @@ let instance_of_string_as ~header:expected s =
             let* id = parse_int "id" id in
             let* first_edge = parse_int "first_edge" first in
             let* last_edge = parse_int "last_edge" last in
-            let* demand = parse_int "demand" demand in
+            let* demand = parse_quantity "demand" demand in
             let* weight = parse_float "weight" weight in
             (try Ok (Task.make ~id ~first_edge ~last_edge ~demand ~weight)
              with Invalid_argument m -> Error m)
@@ -239,7 +251,7 @@ let ring_of_string s =
       let* caps =
         match String.split_on_char ' ' caps_line |> List.filter (( <> ) "") with
         | "capacities" :: values when values <> [] ->
-            map_result (parse_int "capacity") values
+            map_result (parse_quantity "capacity") values
         | _ -> Error "malformed capacities line"
       in
       let m = List.length caps in
@@ -249,7 +261,7 @@ let ring_of_string s =
             let* id = parse_int "id" id in
             let* src = parse_int "src" src in
             let* dst = parse_int "dst" dst in
-            let* demand = parse_int "demand" demand in
+            let* demand = parse_quantity "demand" demand in
             let* weight = parse_float "weight" weight in
             (try Ok (Ring.make_task ~id ~src ~dst ~demand ~weight ~t_edges:m)
              with Invalid_argument m -> Error m)

@@ -17,10 +17,23 @@
     ...
     v}
 
-    Task ids must be unique and weights finite; the parser rejects an
-    instance otherwise, so the CLI, the corpus and every protocol body
-    share one check.  The CLI uses these for [gen | solve | check]
-    pipelines; round-tripping is property-tested. *)
+    Task ids must be unique, weights finite, and capacities and demands
+    at most {!max_quantity}; the parser rejects an instance otherwise, so
+    the CLI, the corpus and every protocol body share one check.  The CLI
+    uses these for [gen | solve | check] pipelines; round-tripping is
+    property-tested. *)
+
+val max_quantity : int
+(** [2^40], the largest capacity or demand any parser accepts.  Up to
+    it the band ceilings [2^(k+ell)] stay at most [2^44] ([ell = 4] at
+    the default configuration), an edge's load sum cannot overflow
+    before [2^22] tasks share the edge, and every value is exact in a
+    double, so the LP sees it unrounded. *)
+
+val check_quantity : string -> int -> (int, string) result
+(** [check_quantity what v] is [Ok v] when [v <= max_quantity], else an
+    error naming [what], [v] and the limit.  Shared with the protocol's
+    [add-task]. *)
 
 val instance_to_string : Core.Path.t -> Core.Task.t list -> string
 

@@ -137,41 +137,28 @@ let seed_instance alg prng =
    fame — a ratio against the {!Lp.Ufpp_lp} upper bound proves nothing. *)
 let evaluate ~alg ~max_nodes instance =
   Obs.Metrics.incr c_evaluated;
-  let zero exact = (0.0, exact, 0.0, 0.0, 0) in
-  let ratio_of value w = if w > 1e-9 then value /. w else 0.0 in
+  let score w (out : _ Exact_bb.outcome) =
+    let opt =
+      if out.Exact_bb.optimal then out.Exact_bb.value else out.Exact_bb.upper_bound
+    in
+    ( (if w > 1e-9 then out.Exact_bb.value /. w else 0.0),
+      out.Exact_bb.optimal,
+      opt,
+      w,
+      out.Exact_bb.nodes )
+  in
   let r =
     match instance with
     | Corpus.Path_instance (path, tasks) ->
         let s = Option.get (Sap.Solvers.find alg) in
         let subset = Sap.Solvers.subset s path tasks in
-        if subset = [] then zero true
+        if subset = [] then (0.0, true, 0.0, 0.0, 0)
         else
           let w = Core.Solution.sap_weight (Ratio.path_solve s path subset) in
-          let out = Exact_bb.solve ~max_nodes path subset in
-          let opt =
-            if out.Exact_bb.optimal then out.Exact_bb.value
-            else out.Exact_bb.upper_bound
-          in
-          ( ratio_of out.Exact_bb.value w,
-            out.Exact_bb.optimal,
-            opt,
-            w,
-            out.Exact_bb.nodes )
+          score w (Exact_bb.solve ~max_nodes path subset)
     | Corpus.Ring_instance r ->
         let w = Ring.solution_weight (Ratio.ring_solve r) in
-        let out = Exact_bb.solve_ring ~max_nodes r in
-        let opt =
-          if out.Exact_bb.ring_optimal then out.Exact_bb.ring_value
-          else
-            Array.fold_left
-              (fun acc (t : Ring.task) -> acc +. t.Ring.weight)
-              0.0 r.Ring.tasks
-        in
-        ( ratio_of out.Exact_bb.ring_value w,
-          out.Exact_bb.ring_optimal,
-          opt,
-          w,
-          out.Exact_bb.ring_nodes )
+        score w (Exact_bb.solve_ring ~max_nodes r)
     | Corpus.Round_instance _ ->
         (* The hunt maximizes weight ratios against a max-weight oracle;
            ROUND-SAP's min-rounds objective needs its own mutation set

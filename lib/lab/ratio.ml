@@ -99,22 +99,26 @@ let within ~opt ~alg_weight ~bound =
   | Some r -> r <= bound +. 1e-9
   | None -> opt <= 1e-9 (* the algorithm scheduled nothing: fine iff OPT = 0 *)
 
-let measure_path ?max_nodes ?jobs ~entry ~alg ~bound path subset alg_weight =
-  let out = Exact_bb.solve ?max_nodes ?jobs path subset in
+(* One row: [alg]'s weight against the oracle's outcome [out] on its
+   instance.  [brute], when the instance fits the exhaustive oracle,
+   computes that oracle's value for the cross-check. *)
+let measure ~entry ~alg ~bound ~subset_size ?brute alg_weight
+    (out : _ Exact_bb.outcome) =
   let opt, bound_kind =
     if out.Exact_bb.optimal then (out.Exact_bb.value, Exact_opt)
     else (out.Exact_bb.upper_bound, Lp_opt)
   in
   let brute_agrees =
-    if out.Exact_bb.optimal && List.length subset <= Exact.Sap_brute.task_cap then
-      Some (Float.abs (Exact.Sap_brute.value path subset -. out.Exact_bb.value) <= 1e-6)
-    else None
+    match brute with
+    | Some brute when out.Exact_bb.optimal ->
+        Some (Float.abs (brute () -. out.Exact_bb.value) <= 1e-6)
+    | _ -> None
   in
   {
     file = entry.Corpus.file;
     family = entry.Corpus.family;
     alg;
-    subset_size = List.length subset;
+    subset_size;
     alg_weight;
     opt;
     bound_kind;
@@ -124,61 +128,44 @@ let measure_path ?max_nodes ?jobs ~entry ~alg ~bound path subset alg_weight =
       (match bound_kind with
       | Exact_opt -> within ~opt ~alg_weight ~bound
       | Lp_opt ->
-          (* The LP optimum over-estimates OPT, so exceeding the bound
+          (* The upper bound over-estimates OPT, so exceeding the bound
              against it proves nothing; the gate only reads exact rows. *)
           true);
     brute_agrees;
     bb_nodes = out.Exact_bb.nodes;
   }
 
-let run_path_entry ?max_nodes ?jobs entry path tasks =
-  List.map
-    (fun s ->
-      let subset = Sap.Solvers.subset s path tasks in
-      let sol = path_solve s path subset in
-      measure_path ?max_nodes ?jobs ~entry ~alg:s.Sap.Solvers.name
-        ~bound:(bound_of s) path subset
-        (Core.Solution.sap_weight sol))
-    path_algs
-
-let run_ring_entry ?max_nodes entry (r : Ring.t) =
-  let sol = ring_solve r in
-  let alg_weight = Ring.solution_weight sol in
-  let out = Exact_bb.solve_ring ?max_nodes r in
-  let total =
-    Array.fold_left (fun acc (t : Ring.task) -> acc +. t.Ring.weight) 0.0 r.Ring.tasks
-  in
-  let opt, bound_kind =
-    if out.Exact_bb.ring_optimal then (out.Exact_bb.ring_value, Exact_opt)
-    else (total, Lp_opt)
-  in
-  let brute_agrees =
-    if
-      out.Exact_bb.ring_optimal
-      && Array.length r.Ring.tasks <= Exact.Ring_brute.task_cap
-    then
-      Some (Float.abs (Exact.Ring_brute.value r -. out.Exact_bb.ring_value) <= 1e-6)
-    else None
-  in
-  [
-    {
-      file = entry.Corpus.file;
-      family = entry.Corpus.family;
-      alg = "ring";
-      subset_size = Array.length r.Ring.tasks;
-      alg_weight;
-      opt;
-      bound_kind;
-      ratio = ratio_of ~opt ~alg_weight;
-      bound = ring_bound;
-      within_bound =
-        (match bound_kind with
-        | Exact_opt -> within ~opt ~alg_weight ~bound:ring_bound
-        | Lp_opt -> true);
-      brute_agrees;
-      bb_nodes = out.Exact_bb.ring_nodes;
-    };
-  ]
+let measure_entry ?max_nodes ?jobs entry = function
+  | Corpus.Path_instance (path, tasks) ->
+      List.map
+        (fun s ->
+          let subset = Sap.Solvers.subset s path tasks in
+          let alg_weight = Core.Solution.sap_weight (path_solve s path subset) in
+          let brute =
+            if List.length subset <= Exact.Sap_brute.task_cap then
+              Some (fun () -> Exact.Sap_brute.value path subset)
+            else None
+          in
+          measure ~entry ~alg:s.Sap.Solvers.name ~bound:(bound_of s)
+            ~subset_size:(List.length subset) ?brute alg_weight
+            (Exact_bb.solve ?max_nodes ?jobs path subset))
+        path_algs
+  | Corpus.Ring_instance r ->
+      let alg_weight = Ring.solution_weight (ring_solve r) in
+      let brute =
+        if Array.length r.Ring.tasks <= Exact.Ring_brute.task_cap then
+          Some (fun () -> Exact.Ring_brute.value r)
+        else None
+      in
+      [
+        measure ~entry ~alg:"ring" ~bound:ring_bound
+          ~subset_size:(Array.length r.Ring.tasks) ?brute alg_weight
+          (Exact_bb.solve_ring ?max_nodes r);
+      ]
+  (* ROUND-SAP entries are measured by Round_lab (rounds vs. a lower
+     bound, not weight vs. OPT); in a mixed corpus they are simply not
+     this pipeline's rows. *)
+  | Corpus.Round_instance _ -> []
 
 (* ---------- the runner ---------- *)
 
@@ -292,13 +279,7 @@ let run ?max_nodes ?jobs (t : Corpus.t) =
             invalid_arg
               (Printf.sprintf "Lab.Ratio: corpus entry %s: %s"
                  entry.Corpus.file msg)
-        | Ok (Corpus.Path_instance (path, tasks)) ->
-            run_path_entry ?max_nodes ?jobs entry path tasks
-        | Ok (Corpus.Ring_instance r) -> run_ring_entry ?max_nodes entry r
-        (* ROUND-SAP entries are measured by Round_lab (rounds vs. a
-           lower bound, not weight vs. OPT); in a mixed corpus they are
-           simply not this pipeline's rows. *)
-        | Ok (Corpus.Round_instance _) -> [])
+        | Ok instance -> measure_entry ?max_nodes ?jobs entry instance)
       t.Corpus.entries
   in
   let violations =

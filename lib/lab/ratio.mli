@@ -90,9 +90,11 @@ val ring_solve : Core.Ring.t -> Core.Ring.solution
 (** The Theorem 5 ring algorithm at the lab's pinned configuration. *)
 
 val run : ?max_nodes:int -> ?jobs:int -> Corpus.t -> report
-(** Solve every entry.  [max_nodes] and [jobs] are forwarded to
-    {!Exact.Exact_bb.solve}.  Raises [Invalid_argument] on an unreadable corpus
-    entry (a corrupt corpus is a configuration error, not a data point). *)
+(** Solve every entry.  [max_nodes] is the {!Exact.Exact_bb} node budget
+    on both instance kinds; [jobs] is forwarded to {!Exact.Exact_bb.solve}
+    (rings are solved sequentially).  Raises [Invalid_argument] on an
+    unreadable corpus entry (a corrupt corpus is a configuration error,
+    not a data point). *)
 
 val report_json : report -> Obs.Json.t
 (** The [sap-ratio v1] document (docs/LAB.md). *)

@@ -15,8 +15,10 @@ type t = {
           [3] large (Theorem 3), their sum for combine (Lemma 3); [None]
           for the baselines and the exact solver *)
   part : Combine.part option;
-      (** the Theorem 4 class the bound holds on ({!subset}); [None]:
-          the whole task set *)
+      (** the Theorem 4 class the entry solves and its bound holds on:
+          [solve] drops every task outside it ({!subset}) before its
+          engine runs, so the class engines never see another class's
+          tasks; [None]: the whole task set *)
   solve :
     seed:int -> parallel:bool -> Core.Path.t -> Core.Task.t list ->
     Core.Solution.sap;

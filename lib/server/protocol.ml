@@ -391,6 +391,7 @@ let request_of_lines lines =
               let* first = parse_attr_int attrs "first" in
               let* last = parse_attr_int attrs "last" in
               let* demand = parse_attr_int attrs "demand" in
+              let* demand = Sap_io.Instance_io.check_quantity "demand" demand in
               let* weight = require "weight" (attr attrs "weight") in
               let* weight = parse_float "weight" weight in
               let* task =

@@ -344,6 +344,16 @@ let unreadable_file_is_clean_error () =
               "sap-instance v1\ncapacities 10 10 10 10\ntask 0 0 1 3 5\ntask 0 2 3 4 6\n" ];
         expect_clean "solve infinite weight"
           [ "solve"; "-i"; write "inf.sap" "sap-instance v1\ncapacities 10 10\ntask 0 0 1 3 inf\n" ];
+        (* Past the input limit the band arithmetic would wrap; the
+           parser refuses the instance and names the limit. *)
+        expect_clean "solve past the input limit"
+          [ "solve"; "-a"; "medium"; "-i";
+            write "huge.sap"
+              "sap-instance v1\ncapacities 4611686018427387903 4611686018427387903\n\
+               task 0 0 1 3 1\ntask 1 0 1 4611686018427387000 1\n" ];
+        Alcotest.(check bool) "the error names the limit" true
+          (contains_sub (Sap_io.Instance_io.read_file out)
+             (string_of_int Sap_io.Instance_io.max_quantity));
         (* Failures raised inside a command reach the same handler, not
            cmdliner's exit-125 "internal error". *)
         let corpus = Lab.Corpus.generate ~dir ~seed:1 ~variants:1 () in

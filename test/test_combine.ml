@@ -144,6 +144,33 @@ let registry_deterministic =
           run false = first && run true = first)
         Sap.Solvers.all)
 
+(* A class entry solves only its own class.  Three δ-small tasks beside
+   one medium task: were the small ones handed to the Elevator, its
+   candidate heights would reach the subset-sum cap and the band sweep
+   would exhaust memory; the entry places task 3 alone in a few dozen
+   states. *)
+let registry_medium_own_class () =
+  let path = Path.create [| 1000; 1000; 1000 |] in
+  let t id demand weight =
+    Task.make ~id ~first_edge:0 ~last_edge:2 ~demand ~weight
+  in
+  let tasks = [ t 0 1 1.0; t 1 2 1.0; t 2 3 1.0; t 3 400 5.0 ] in
+  let medium = Option.get (Sap.Solvers.find "medium") in
+  let states = Obs.Metrics.counter "elevator.dp_states" in
+  Obs.Metrics.enable ();
+  let before = Obs.Metrics.counter_value states in
+  let sol =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        medium.Sap.Solvers.solve ~seed:1 ~parallel:false path tasks)
+  in
+  let counted = Obs.Metrics.counter_value states - before in
+  Alcotest.(check (list int)) "only the medium task" [ 3 ]
+    (List.map (fun ((j : Task.t), _) -> j.Task.id) sol);
+  Alcotest.(check bool)
+    (Printf.sprintf "a bounded DP (%d states)" counted)
+    true
+    (counted > 0 && counted < 1_000)
+
 let registry_names () =
   let names = Sap.Solvers.names in
   Alcotest.(check int) "no duplicates" (List.length names)
@@ -176,5 +203,6 @@ let () =
           registry_feasible;
           registry_deterministic;
           case "names unique" registry_names;
+          case "medium solves its own class" registry_medium_own_class;
         ] );
     ]

@@ -67,6 +67,45 @@ let rejects_invalid_task () =
               ("ring-instance v1\ncapacities 4 4 4\nrtask 0 0 1 1 " ^ w ^ "\n"))))
     [ "inf"; "-inf"; "nan" ]
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let quantity_limit () =
+  let lim = Sap_io.Instance_io.max_quantity in
+  let sap cap d =
+    Printf.sprintf "sap-instance v1\ncapacities %d %d\ntask 0 0 1 %d 1.0\n" cap cap d
+  in
+  let round cap d =
+    Printf.sprintf "round-instance v1\ncapacities %d %d\ntask 0 0 1 %d 1.0\n" cap cap d
+  in
+  let ring cap d =
+    Printf.sprintf "ring-instance v1\ncapacities %d %d %d\nrtask 0 0 1 %d 1.0\n" cap cap
+      cap d
+  in
+  let check what parse text ~ok =
+    match parse text with
+    | Ok _ -> if not ok then Alcotest.failf "%s: accepted" what
+    | Error m ->
+        if ok then Alcotest.failf "%s: rejected: %s" what m
+        else
+          Alcotest.(check bool) (what ^ ": names the limit") true
+            (contains m (string_of_int lim))
+  in
+  List.iter
+    (fun (carrier, parse, text) ->
+      check (carrier ^ " at the limit") parse (text lim lim) ~ok:true;
+      check (carrier ^ " capacity past it") parse (text (lim + 1) 1) ~ok:false;
+      check (carrier ^ " demand past it") parse (text lim (lim + 1)) ~ok:false)
+    [
+      ("sap", (fun s -> Result.map ignore (Sap_io.Instance_io.instance_of_string s)), sap);
+      ( "round",
+        (fun s -> Result.map ignore (Sap_io.Instance_io.round_instance_of_string s)),
+        round );
+      ("ring", (fun s -> Result.map ignore (Sap_io.Instance_io.ring_of_string s)), ring);
+    ]
+
 let rejects_unknown_place_id () =
   let t = Task.make ~id:0 ~first_edge:0 ~last_edge:0 ~demand:1 ~weight:1.0 in
   Alcotest.(check bool) "unknown id" true
@@ -99,6 +138,7 @@ let () =
           case "bad task line" rejects_bad_task_line;
           case "task off path" rejects_task_off_path;
           case "invalid task" rejects_invalid_task;
+          case "quantity limit" quantity_limit;
           case "unknown place id" rejects_unknown_place_id;
           case "empty" rejects_empty;
         ] );

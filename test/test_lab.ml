@@ -39,8 +39,8 @@ let bb_ring_matches_brute =
       in
       let out = Exact.Exact_bb.solve_ring r in
       Helpers.check_ok "bb ring solution feasible"
-        (Ring.feasible r out.Exact.Exact_bb.ring_solution);
-      Helpers.close_enough out.Exact.Exact_bb.ring_value
+        (Ring.feasible r out.Exact.Exact_bb.solution);
+      Helpers.close_enough out.Exact.Exact_bb.value
         (Exact.Ring_brute.value r))
 
 let bb_budget_reports_nonoptimal () =

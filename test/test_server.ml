@@ -342,6 +342,14 @@ let protocol_rejects_malformed () =
     "sap-request v1 0 solve\nsap-instance v1\ncapacities 10 10 10 10\ntask 0 0 1 3 5\ntask 0 2 3 4 6\nend\n";
   expect_error "infinite add-task weight"
     "sap-request v1 0 add-task session=1 task-id=3 first=0 last=1 demand=2 weight=inf\nend\n";
+  expect_error "capacity past the input limit"
+    "sap-request v1 0 solve\nsap-instance v1\ncapacities 4611686018427387903 \
+     4611686018427387903\ntask 0 0 1 3 1\ntask 1 0 1 4611686018427387000 1\nend\n";
+  expect_error "add-task demand past the input limit"
+    (Printf.sprintf
+       "sap-request v1 0 add-task session=1 task-id=3 first=0 last=1 demand=%d \
+        weight=1\nend\n"
+       (Sap_io.Instance_io.max_quantity + 1));
   match Proto.response_of_string ~tasks_for:(fun _ -> None)
           "sap-response v1 3 solved scheduled=1 weight=1 cached=0 time-ms=1\nsap-solution v1\nend\n"
   with
@@ -480,6 +488,27 @@ let e2e_exact_past_brute_cap () =
       Alcotest.(check (float 1e-6)) "optimal weight" bb.Exact.Exact_bb.value
         summary.Proto.weight
   | Proto.Failed { message; _ } -> Alcotest.failf "exact failed: %s" message
+  | _ -> Alcotest.fail "expected solved"
+
+(* A served class entry solves only its class: beside three δ-small
+   tasks, [medium] places the one medium task (the small ones never reach
+   the Elevator DP). *)
+let e2e_medium_solves_its_class () =
+  let srv = Server.create ~config:{ Server.default_config with Server.workers = Some 1 } () in
+  Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
+  let path = Path.create [| 1000; 1000; 1000 |] in
+  let t id demand weight = Task.make ~id ~first_edge:0 ~last_edge:2 ~demand ~weight in
+  let tasks = [ t 0 1 1.0; t 1 2 1.0; t 2 3 1.0; t 3 400 5.0 ] in
+  match
+    Server.handle srv
+      (Proto.Solve
+         { id = 0; params = { default_params with Proto.algorithm = "medium" }; path; tasks })
+  with
+  | Proto.Solved { solution; _ } ->
+      Helpers.assert_feasible_sap path solution;
+      Alcotest.(check (list int)) "only the medium task" [ 3 ]
+        (List.map (fun ((j : Task.t), _) -> j.Task.id) solution)
+  | Proto.Failed { message; _ } -> Alcotest.failf "medium failed: %s" message
   | _ -> Alcotest.fail "expected solved"
 
 let e2e_round_solve () =
@@ -925,6 +954,7 @@ let () =
           case "concurrent solves + cache hits" e2e_concurrent_solves_and_cache;
           case "error + timeout responses" e2e_error_responses;
           case "exact past the brute cap" e2e_exact_past_brute_cap;
+          case "medium solves its own class" e2e_medium_solves_its_class;
           case "round-solve lifecycle + cache separation" e2e_round_solve;
           case "graceful drain under load" e2e_shutdown_under_load;
         ] );
