@@ -27,10 +27,35 @@ let solution_to_string sol =
     (Core.Solution.sort_by_id sol);
   Buffer.contents buf
 
-let meaningful_lines s =
-  String.split_on_char '\n' s
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "" && not (String.length l > 0 && l.[0] = '#'))
+(* The lines that carry content: trimmed, without blank and [#] comment
+   lines.  Each format has one parser over a line list (a protocol frame
+   hands its body lines over as read); [of_string] splits text into lines
+   for it. *)
+let meaningful_lines lines =
+  List.filter_map
+    (fun l ->
+      let l = String.trim l in
+      if l = "" || l.[0] = '#' then None else Some l)
+    lines
+
+let of_string parse s = parse (String.split_on_char '\n' s)
+
+(* The space-separated words of a line: [String.split_on_char ' '] less
+   its empty pieces, scanned from the end so the list needs no second
+   pass. *)
+let words line =
+  let rec go i acc =
+    if i < 0 then acc
+    else if line.[i] = ' ' then go (i - 1) acc
+    else begin
+      let j = ref i in
+      while !j >= 0 && line.[!j] <> ' ' do
+        decr j
+      done;
+      go !j (String.sub line (!j + 1) (i - !j) :: acc)
+    end
+  in
+  go (String.length line - 1) []
 
 let ( let* ) = Result.bind
 
@@ -63,8 +88,8 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
-let instance_of_string_as ~header:expected s =
-  match meaningful_lines s with
+let instance_of_lines_as ~header:expected lines =
+  match meaningful_lines lines with
   | [] -> Error "empty input"
   | header :: rest ->
       let* () =
@@ -77,7 +102,7 @@ let instance_of_string_as ~header:expected s =
         | [] -> Error "missing capacities line"
       in
       let* caps =
-        match String.split_on_char ' ' caps_line |> List.filter (( <> ) "") with
+        match words caps_line with
         | "capacities" :: values when values <> [] ->
             map_result (parse_quantity "capacity") values
         | _ -> Error "malformed capacities line"
@@ -87,7 +112,7 @@ let instance_of_string_as ~header:expected s =
         with Invalid_argument m -> Error m
       in
       let parse_task line =
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        match words line with
         | [ "task"; id; first; last; demand; weight ] ->
             let* id = parse_int "id" id in
             let* first_edge = parse_int "first_edge" first in
@@ -104,21 +129,33 @@ let instance_of_string_as ~header:expected s =
         then Ok ()
         else Error "task leaves the path"
       in
-      let seen = Hashtbl.create 64 in
-      let rec unique = function
-        | [] -> Ok ()
-        | (j : Task.t) :: rest ->
-            if Hashtbl.mem seen j.Task.id then
-              Error (Printf.sprintf "duplicate task id %d" j.Task.id)
-            else begin
-              Hashtbl.add seen j.Task.id ();
-              unique rest
-            end
+      (* Ids in increasing order (as generators and [gen] write them)
+         cannot repeat; any other order is checked with a table. *)
+      let rec increasing = function
+        | (a : Task.t) :: ((b : Task.t) :: _ as rest) ->
+            a.Task.id < b.Task.id && increasing rest
+        | _ -> true
       in
-      let* () = unique tasks in
+      let unique tasks =
+        let seen = Hashtbl.create 64 in
+        let rec go = function
+          | [] -> Ok ()
+          | (j : Task.t) :: rest ->
+              if Hashtbl.mem seen j.Task.id then
+                Error (Printf.sprintf "duplicate task id %d" j.Task.id)
+              else begin
+                Hashtbl.add seen j.Task.id ();
+                go rest
+              end
+        in
+        go tasks
+      in
+      let* () = if increasing tasks then Ok () else unique tasks in
       Ok (path, tasks)
 
-let instance_of_string s = instance_of_string_as ~header:"sap-instance v1" s
+let instance_of_lines = instance_of_lines_as ~header:"sap-instance v1"
+
+let instance_of_string s = of_string instance_of_lines s
 
 (* ---------- round instances / solutions ---------- *)
 
@@ -130,8 +167,9 @@ let instance_of_string s = instance_of_string_as ~header:"sap-instance v1" s
 let round_instance_to_string path tasks =
   instance_to_string_as ~header:"round-instance v1" path tasks
 
-let round_instance_of_string s =
-  instance_of_string_as ~header:"round-instance v1" s
+let round_instance_of_lines = instance_of_lines_as ~header:"round-instance v1"
+
+let round_instance_of_string s = of_string round_instance_of_lines s
 
 let round_solution_to_string rounds =
   let buf = Buffer.create 128 in
@@ -146,10 +184,10 @@ let round_solution_to_string rounds =
     rounds;
   Buffer.contents buf
 
-let round_solution_of_string ~tasks s =
+let round_solution_of_lines ~tasks lines =
   let by_id = Hashtbl.create 32 in
   List.iter (fun (j : Task.t) -> Hashtbl.replace by_id j.Task.id j) tasks;
-  match meaningful_lines s with
+  match meaningful_lines lines with
   | [] -> Error "empty input"
   | header :: rest ->
       let* () =
@@ -162,7 +200,7 @@ let round_solution_of_string ~tasks s =
         | [] -> Error "missing rounds line"
       in
       let* n =
-        match String.split_on_char ' ' count_line |> List.filter (( <> ) "") with
+        match words count_line with
         | [ "rounds"; n ] -> parse_int "round count" n
         | _ -> Error (Printf.sprintf "malformed rounds line %S" count_line)
       in
@@ -170,7 +208,7 @@ let round_solution_of_string ~tasks s =
         if n >= 0 then Ok () else Error "negative round count"
       in
       let parse_place line =
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        match words line with
         | [ "place"; id; r; h ] ->
             let* id = parse_int "task id" id in
             let* r = parse_int "round" r in
@@ -192,10 +230,12 @@ let round_solution_of_string ~tasks s =
       List.iter (fun (j, r, h) -> buckets.(r) <- (j, h) :: buckets.(r)) places;
       Ok (Array.to_list (Array.map List.rev buckets))
 
-let solution_of_string ~tasks s =
+let round_solution_of_string ~tasks s = of_string (round_solution_of_lines ~tasks) s
+
+let solution_of_lines ~tasks lines =
   let by_id = Hashtbl.create 32 in
   List.iter (fun (j : Task.t) -> Hashtbl.replace by_id j.Task.id j) tasks;
-  match meaningful_lines s with
+  match meaningful_lines lines with
   | [] -> Error "empty input"
   | header :: rest ->
       let* () =
@@ -203,7 +243,7 @@ let solution_of_string ~tasks s =
         else Error (Printf.sprintf "bad header %S" header)
       in
       let parse_place line =
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        match words line with
         | [ "place"; id; h ] ->
             let* id = parse_int "task id" id in
             let* h = parse_int "height" h in
@@ -216,6 +256,8 @@ let solution_of_string ~tasks s =
         | _ -> Error (Printf.sprintf "malformed place line %S" line)
       in
       map_result parse_place rest
+
+let solution_of_string ~tasks s = of_string (solution_of_lines ~tasks) s
 
 (* ---------- ring instances ---------- *)
 
@@ -235,8 +277,8 @@ let ring_to_string (r : Ring.t) =
     r.Ring.tasks;
   Buffer.contents buf
 
-let ring_of_string s =
-  match meaningful_lines s with
+let ring_of_lines lines =
+  match meaningful_lines lines with
   | [] -> Error "empty input"
   | header :: rest ->
       let* () =
@@ -249,14 +291,14 @@ let ring_of_string s =
         | [] -> Error "missing capacities line"
       in
       let* caps =
-        match String.split_on_char ' ' caps_line |> List.filter (( <> ) "") with
+        match words caps_line with
         | "capacities" :: values when values <> [] ->
             map_result (parse_quantity "capacity") values
         | _ -> Error "malformed capacities line"
       in
       let m = List.length caps in
       let parse_task line =
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        match words line with
         | [ "rtask"; id; src; dst; demand; weight ] ->
             let* id = parse_int "id" id in
             let* src = parse_int "src" src in
@@ -270,6 +312,8 @@ let ring_of_string s =
       let* tasks = map_result parse_task task_lines in
       (try Ok (Ring.create (Array.of_list caps) tasks)
        with Invalid_argument m -> Error m)
+
+let ring_of_string s = of_string ring_of_lines s
 
 let write_file path contents =
   let oc = open_out path in

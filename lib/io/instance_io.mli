@@ -21,7 +21,12 @@
     at most {!max_quantity}; the parser rejects an instance otherwise, so
     the CLI, the corpus and every protocol body share one check.  The CLI
     uses these for [gen | solve | check] pipelines; round-tripping is
-    property-tested. *)
+    property-tested.
+
+    Each format has one parser, over a list of lines (without their
+    newlines): a protocol frame hands over its body lines as read.  Each
+    [*_of_string] splits its text at ['\n'] and calls the matching
+    [*_of_lines], so both accept the same inputs with the same errors. *)
 
 val max_quantity : int
 (** [2^40], the largest capacity or demand any parser accepts.  Up to
@@ -37,13 +42,19 @@ val check_quantity : string -> int -> (int, string) result
 
 val instance_to_string : Core.Path.t -> Core.Task.t list -> string
 
+val instance_of_lines :
+  string list -> (Core.Path.t * Core.Task.t list, string) result
+
 val instance_of_string : string -> (Core.Path.t * Core.Task.t list, string) result
 
 val solution_to_string : Core.Solution.sap -> string
 
+val solution_of_lines :
+  tasks:Core.Task.t list -> string list -> (Core.Solution.sap, string) result
+(** Resolves task ids against [tasks]; unknown ids are an error. *)
+
 val solution_of_string :
   tasks:Core.Task.t list -> string -> (Core.Solution.sap, string) result
-(** Resolves task ids against [tasks]; unknown ids are an error. *)
 
 val ring_to_string : Core.Ring.t -> string
 (** Ring instances ride the same carrier with their own header:
@@ -76,6 +87,9 @@ val round_instance_to_string : Core.Path.t -> Core.Task.t list -> string
     unique ids and finite non-negative weights.  Whether every task fits
     alone is checked by [Round.Instance.create]. *)
 
+val round_instance_of_lines :
+  string list -> (Core.Path.t * Core.Task.t list, string) result
+
 val round_instance_of_string :
   string -> (Core.Path.t * Core.Task.t list, string) result
 
@@ -87,13 +101,18 @@ val round_solution_to_string : Core.Solution.sap list -> string
     ...
     v} *)
 
-val round_solution_of_string :
+val round_solution_of_lines :
   tasks:Core.Task.t list ->
-  string ->
+  string list ->
   (Core.Solution.sap list, string) result
 (** Reconstructs exactly [rounds n] rounds (possibly empty lists if a
     round index is unused — the round checker rejects those).  Unknown
     task ids and out-of-range round indices are errors. *)
+
+val round_solution_of_string :
+  tasks:Core.Task.t list ->
+  string ->
+  (Core.Solution.sap list, string) result
 
 val write_file : string -> string -> unit
 

@@ -1,9 +1,11 @@
 (** A thread-safe LRU solution cache.
 
-    Keys are content fingerprints ({!Fingerprint.solve_key}); values are
-    whatever the caller wants to amortize (the server stores completed
-    solve results).  Capacity is a hard entry bound: inserting into a full
-    cache evicts the least-recently-used entry.  [find] counts as a use.
+    Keys are strings compared in full, never by a digest alone: the
+    server keys on a request's canonical bytes ({!Fingerprint.make}), so
+    a hit means the same content, and its values are packed placements
+    ({!Fingerprint.placements}).  Capacity is a hard entry bound:
+    inserting into a full cache evicts the least-recently-used entry.
+    [find] counts as a use.
 
     All operations take an internal mutex, so pool workers can insert
     while the acceptor thread looks up.  Hit/miss/eviction totals are kept

@@ -297,137 +297,134 @@ let no_body what = function
   | [] -> Ok ()
   | _ -> Error (Printf.sprintf "%s takes no body" what)
 
-let request_of_lines lines =
-  match lines with
-  | [] -> Error "empty frame"
+(* A request header parses to its id and the parser of its body, so an
+   error in the body can be answered under the request's own id. *)
+let request_header header =
+  match tokens header with
+  | "sap-request" :: "v1" :: id :: verb :: attr_toks ->
+      let* id = parse_int "request id" id in
+      let* () =
+        if id < 0 then Error "request id must be non-negative" else Ok ()
+      in
+      let bare req body =
+        let* () = no_body verb body in
+        Ok req
+      in
+      let* parse_body =
+        match verb with
+        | "solve" ->
+            let* attrs =
+              parse_attrs ~allowed:[ "algorithm"; "seed"; "timeout-ms"; "cache" ]
+                attr_toks
+            in
+            let d = default_solve_params in
+            let algorithm =
+              match attr attrs "algorithm" with Some a -> a | None -> d.algorithm
+            in
+            let* seed =
+              match attr attrs "seed" with
+              | Some s -> parse_int "seed" s
+              | None -> Ok d.seed
+            in
+            let* timeout_ms =
+              match attr attrs "timeout-ms" with
+              | Some s ->
+                  let* v = parse_int "timeout-ms" s in
+                  if v < 0 then Error "timeout-ms must be non-negative"
+                  else Ok (Some v)
+              | None -> Ok None
+            in
+            let* cache =
+              match attr attrs "cache" with
+              | Some s -> parse_bool "cache" s
+              | None -> Ok d.cache
+            in
+            Ok
+              (fun body ->
+                let* path, tasks = Sap_io.Instance_io.instance_of_lines body in
+                Ok
+                  (Solve
+                     { id; params = { algorithm; seed; timeout_ms; cache }; path; tasks }))
+        | "round-solve" ->
+            let* attrs = parse_attrs ~allowed:[ "algorithm"; "cache" ] attr_toks in
+            let algorithm =
+              match attr attrs "algorithm" with Some a -> a | None -> "bands"
+            in
+            let* cache =
+              match attr attrs "cache" with
+              | Some s -> parse_bool "cache" s
+              | None -> Ok true
+            in
+            Ok
+              (fun body ->
+                let* path, tasks = Sap_io.Instance_io.round_instance_of_lines body in
+                Ok (Round_solve { id; algorithm; cache; path; tasks }))
+        | "stats" -> Ok (bare (Stats { id }))
+        | "ping" -> Ok (bare (Ping { id }))
+        | "shutdown" -> Ok (bare (Shutdown { id }))
+        | "session-open" ->
+            let* attrs = parse_attrs ~allowed:[ "seed" ] attr_toks in
+            let* seed =
+              match attr attrs "seed" with
+              | Some s -> parse_int "seed" s
+              | None -> Ok default_solve_params.seed
+            in
+            Ok
+              (fun body ->
+                let* path, tasks = Sap_io.Instance_io.instance_of_lines body in
+                Ok (Session_open { id; seed; path; tasks }))
+        | "add-task" ->
+            let* attrs =
+              parse_attrs
+                ~allowed:[ "session"; "task-id"; "first"; "last"; "demand"; "weight" ]
+                attr_toks
+            in
+            let* session = parse_attr_int attrs "session" in
+            let* task_id = parse_attr_int attrs "task-id" in
+            let* first = parse_attr_int attrs "first" in
+            let* last = parse_attr_int attrs "last" in
+            let* demand = parse_attr_int attrs "demand" in
+            let* demand = Sap_io.Instance_io.check_quantity "demand" demand in
+            let* weight = require "weight" (attr attrs "weight") in
+            let* weight = parse_float "weight" weight in
+            let* task =
+              match
+                Core.Task.make ~id:task_id ~first_edge:first ~last_edge:last ~demand
+                  ~weight
+              with
+              | t -> Ok t
+              | exception Invalid_argument m -> Error ("invalid task: " ^ m)
+            in
+            Ok (bare (Session_add { id; session; task }))
+        | "remove-task" ->
+            let* attrs = parse_attrs ~allowed:[ "session"; "task-id" ] attr_toks in
+            let* session = parse_attr_int attrs "session" in
+            let* task_id = parse_attr_int attrs "task-id" in
+            Ok (bare (Session_remove { id; session; task_id }))
+        | "resolve" ->
+            let* attrs = parse_attrs ~allowed:[ "session"; "cold" ] attr_toks in
+            let* session = parse_attr_int attrs "session" in
+            let* cold =
+              match attr attrs "cold" with
+              | Some s -> parse_bool "cold" s
+              | None -> Ok false
+            in
+            Ok (bare (Session_resolve { id; session; cold }))
+        | "session-close" ->
+            let* attrs = parse_attrs ~allowed:[ "session" ] attr_toks in
+            let* session = parse_attr_int attrs "session" in
+            Ok (bare (Session_close { id; session }))
+        | other -> Error (Printf.sprintf "unknown verb %S" other)
+      in
+      Ok (id, parse_body)
+  | _ -> Error (Printf.sprintf "malformed request header %S" header)
+
+let request_of_lines = function
+  | [] -> Error (-1, "empty frame")
   | header :: body -> (
-      match tokens header with
-      | "sap-request" :: "v1" :: id :: verb :: attr_toks -> (
-          let* id = parse_int "request id" id in
-          let* () =
-            if id < 0 then Error "request id must be non-negative" else Ok ()
-          in
-          match verb with
-          | "solve" ->
-              let* attrs =
-                parse_attrs ~allowed:[ "algorithm"; "seed"; "timeout-ms"; "cache" ]
-                  attr_toks
-              in
-              let d = default_solve_params in
-              let algorithm =
-                match attr attrs "algorithm" with Some a -> a | None -> d.algorithm
-              in
-              let* seed =
-                match attr attrs "seed" with
-                | Some s -> parse_int "seed" s
-                | None -> Ok d.seed
-              in
-              let* timeout_ms =
-                match attr attrs "timeout-ms" with
-                | Some s ->
-                    let* v = parse_int "timeout-ms" s in
-                    if v < 0 then Error "timeout-ms must be non-negative"
-                    else Ok (Some v)
-                | None -> Ok None
-              in
-              let* cache =
-                match attr attrs "cache" with
-                | Some s -> parse_bool "cache" s
-                | None -> Ok d.cache
-              in
-              let* path, tasks =
-                Sap_io.Instance_io.instance_of_string (String.concat "\n" body)
-              in
-              Ok
-                (Solve
-                   { id; params = { algorithm; seed; timeout_ms; cache }; path; tasks })
-          | "round-solve" ->
-              let* attrs =
-                parse_attrs ~allowed:[ "algorithm"; "cache" ] attr_toks
-              in
-              let algorithm =
-                match attr attrs "algorithm" with Some a -> a | None -> "bands"
-              in
-              let* cache =
-                match attr attrs "cache" with
-                | Some s -> parse_bool "cache" s
-                | None -> Ok true
-              in
-              let* path, tasks =
-                Sap_io.Instance_io.round_instance_of_string
-                  (String.concat "\n" body)
-              in
-              Ok (Round_solve { id; algorithm; cache; path; tasks })
-          | "stats" ->
-              let* () = no_body "stats" body in
-              Ok (Stats { id })
-          | "ping" ->
-              let* () = no_body "ping" body in
-              Ok (Ping { id })
-          | "shutdown" ->
-              let* () = no_body "shutdown" body in
-              Ok (Shutdown { id })
-          | "session-open" ->
-              let* attrs = parse_attrs ~allowed:[ "seed" ] attr_toks in
-              let* seed =
-                match attr attrs "seed" with
-                | Some s -> parse_int "seed" s
-                | None -> Ok default_solve_params.seed
-              in
-              let* path, tasks =
-                Sap_io.Instance_io.instance_of_string (String.concat "\n" body)
-              in
-              Ok (Session_open { id; seed; path; tasks })
-          | "add-task" ->
-              let* attrs =
-                parse_attrs
-                  ~allowed:
-                    [ "session"; "task-id"; "first"; "last"; "demand"; "weight" ]
-                  attr_toks
-              in
-              let* () = no_body "add-task" body in
-              let* session = parse_attr_int attrs "session" in
-              let* task_id = parse_attr_int attrs "task-id" in
-              let* first = parse_attr_int attrs "first" in
-              let* last = parse_attr_int attrs "last" in
-              let* demand = parse_attr_int attrs "demand" in
-              let* demand = Sap_io.Instance_io.check_quantity "demand" demand in
-              let* weight = require "weight" (attr attrs "weight") in
-              let* weight = parse_float "weight" weight in
-              let* task =
-                match
-                  Core.Task.make ~id:task_id ~first_edge:first ~last_edge:last
-                    ~demand ~weight
-                with
-                | t -> Ok t
-                | exception Invalid_argument m -> Error ("invalid task: " ^ m)
-              in
-              Ok (Session_add { id; session; task })
-          | "remove-task" ->
-              let* attrs =
-                parse_attrs ~allowed:[ "session"; "task-id" ] attr_toks
-              in
-              let* () = no_body "remove-task" body in
-              let* session = parse_attr_int attrs "session" in
-              let* task_id = parse_attr_int attrs "task-id" in
-              Ok (Session_remove { id; session; task_id })
-          | "resolve" ->
-              let* attrs = parse_attrs ~allowed:[ "session"; "cold" ] attr_toks in
-              let* () = no_body "resolve" body in
-              let* session = parse_attr_int attrs "session" in
-              let* cold =
-                match attr attrs "cold" with
-                | Some s -> parse_bool "cold" s
-                | None -> Ok false
-              in
-              Ok (Session_resolve { id; session; cold })
-          | "session-close" ->
-              let* attrs = parse_attrs ~allowed:[ "session" ] attr_toks in
-              let* () = no_body "session-close" body in
-              let* session = parse_attr_int attrs "session" in
-              Ok (Session_close { id; session })
-          | other -> Error (Printf.sprintf "unknown verb %S" other))
-      | _ -> Error (Printf.sprintf "malformed request header %S" header))
+      match request_header header with
+      | Error m -> Error (-1, m)
+      | Ok (id, parse_body) -> Result.map_error (fun m -> (id, m)) (parse_body body))
 
 (* The [msg=] attribute must be last and swallows the rest of the header
    line (escaped, so it stays on one line). *)
@@ -478,9 +475,7 @@ let response_of_lines ~tasks_for lines =
                 | Some ts -> Ok ts
                 | None -> Error (Printf.sprintf "no instance known for response id %d" id)
               in
-              let* solution =
-                Sap_io.Instance_io.solution_of_string ~tasks (String.concat "\n" body)
-              in
+              let* solution = Sap_io.Instance_io.solution_of_lines ~tasks body in
               Ok
                 (Solved
                    { id; summary = { scheduled; weight; cached; time_ms }; solution })
@@ -499,10 +494,7 @@ let response_of_lines ~tasks_for lines =
                 | None ->
                     Error (Printf.sprintf "no instance known for response id %d" id)
               in
-              let* rounds =
-                Sap_io.Instance_io.round_solution_of_string ~tasks
-                  (String.concat "\n" body)
-              in
+              let* rounds = Sap_io.Instance_io.round_solution_of_lines ~tasks body in
               let* () =
                 if List.length rounds = r_rounds then Ok ()
                 else
@@ -569,10 +561,7 @@ let response_of_lines ~tasks_for lines =
                         Error
                           (Printf.sprintf "no instance known for response id %d" id)
                   in
-                  let* solution =
-                    Sap_io.Instance_io.solution_of_string ~tasks
-                      (String.concat "\n" body)
-                  in
+                  let* solution = Sap_io.Instance_io.solution_of_lines ~tasks body in
                   Ok
                     (Session_reply
                        {
@@ -631,7 +620,7 @@ let strip_terminator lines =
 let request_of_string s =
   let lines = String.split_on_char '\n' s |> List.filter (( <> ) "") in
   let* lines = strip_terminator lines in
-  request_of_lines lines
+  Result.map_error snd (request_of_lines lines)
 
 let response_of_string ~tasks_for s =
   let lines = String.split_on_char '\n' s |> List.filter (( <> ) "") in

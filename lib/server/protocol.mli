@@ -152,11 +152,16 @@ val error_code_of_string : string -> error_code option
 val request_to_string : request -> string
 (** Full frame, terminator and trailing newline included. *)
 
-val request_of_lines : string list -> (request, string) result
-(** Parse a frame given as its lines {e without} the [end] terminator. *)
+val request_of_lines : string list -> (request, int * string) result
+(** Parse a frame given as its lines {e without} the [end] terminator.
+    The body is parsed from these lines as they are.  An error carries
+    the id to answer it under: the request's own id when the header
+    line parsed and the body was rejected, [-1] when the header itself
+    did not parse. *)
 
 val request_of_string : string -> (request, string) result
-(** Parse a full frame (terminator required). *)
+(** Parse a full frame (terminator required); {!request_of_lines}
+    without the id. *)
 
 val response_to_string : response -> string
 

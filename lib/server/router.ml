@@ -17,11 +17,12 @@ module Ring = struct
     ring_members : string list;  (* sorted, distinct *)
   }
 
-  (* FNV-1a barely diffuses the last few input bytes: vnode labels that
-     differ only in the trailing index ("m0#17" vs "m0#18") hash to
-     near-adjacent values, so without extra mixing every member's vnodes
-     clump into one arc and shard shares become wildly uneven. A murmur3
-     fmix64 finalizer restores uniform placement. *)
+  (* A key is folded in a word at a time (8 bytes, a multiply–xorshift
+     on a native int), then its tail bytes.  Vnode labels that differ
+     only in the trailing index ("m0#17" vs "m0#18") must not land on
+     near-adjacent points, or every member's vnodes clump into one arc
+     and shard shares become wildly uneven; a murmur3 fmix64 finalizer
+     spreads every input bit over the whole point. *)
   let mix64 h =
     let h = Int64.logxor h (Int64.shift_right_logical h 33) in
     let h = Int64.mul h 0xff51afd7ed558ccdL in
@@ -29,7 +30,22 @@ module Ring = struct
     let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
     Int64.logxor h (Int64.shift_right_logical h 33)
 
-  let point name i = mix64 (Fingerprint.fnv1a64 (name ^ "#" ^ string_of_int i))
+  let hash s =
+    let k = 0x2545F4914F6CDD1D in
+    let n = String.length s in
+    let h = ref n and i = ref 0 in
+    while !i + 8 <= n do
+      h := (!h lxor Int64.to_int (String.get_int64_le s !i)) * k;
+      h := !h lxor (!h lsr 32);
+      i := !i + 8
+    done;
+    while !i < n do
+      h := (!h lxor Char.code s.[!i]) * k;
+      incr i
+    done;
+    mix64 (Int64.of_int !h)
+
+  let point name i = hash (name ^ "#" ^ string_of_int i)
 
   let create ?(vnodes = 64) names =
     let ring_members = List.sort_uniq String.compare names in
@@ -53,7 +69,7 @@ module Ring = struct
     let n = Array.length t.points in
     if n = 0 then None
     else begin
-      let h = mix64 (Fingerprint.fnv1a64 key) in
+      let h = hash key in
       (* First point at or clockwise-after [h]; the array is sorted by
          unsigned hash, so that is a binary search with wraparound. *)
       let lo = ref 0 and hi = ref n in

@@ -39,9 +39,10 @@
     each Up shard's own [sap-server-stats] scrape embedded. *)
 
 module Ring : sig
-  (** Pure consistent-hash ring: [vnodes] virtual points per member,
-      hashed with FNV-1a/64 ([hash (name ^ "#" ^ i)]); a key is owned by
-      the first point clockwise from [fnv1a64 key].  Adding a member
+  (** Pure consistent-hash ring: [vnodes] virtual points per member at
+      [hash (name ^ "#" ^ i)]; a key is owned by the first point
+      clockwise from [hash key].  [hash] reads the key a word at a time
+      and ends in murmur3's fmix64 finalizer.  Adding a member
       steals keys only {e for} the new member; removing one re-homes only
       the keys it owned — both in expectation [1/n] of the keyspace. *)
 

@@ -28,14 +28,6 @@ let default_config =
     log = None;
   }
 
-(* One LRU serves both problems.  {!Fingerprint.solve_key} embeds the
-   problem kind, so a [solve] and a [round-solve] entry can never share a
-   key; the variant additionally keeps even a 64-bit hash collision
-   across problems from serving a round packing as a SAP solution. *)
-type cache_entry =
-  | Sap_result of Core.Solution.sap
-  | Round_result of Core.Solution.sap list
-
 (* A registered session: the state machine plus its own lock — resolves
    run on pool workers and deltas on the transport domain, so per-session
    mutual exclusion is what serializes them (the registry lock only
@@ -45,7 +37,10 @@ type session_entry = { se : Session.t; se_lock : Mutex.t }
 type t = {
   config : config;
   pool : Pool.t;
-  cache : cache_entry Cache.t;
+  cache : Fingerprint.placements Cache.t;
+      (* One LRU serves both problems: the key leads with the problem
+         kind and is compared in full, so a [solve] and a [round-solve]
+         never share an entry. *)
   draining_flag : bool Atomic.t;
   started : float;
   seq : int Atomic.t;
@@ -360,24 +355,31 @@ let finalize t tel pending () =
 
 (* The lifecycle [solve] and [round-solve] share: cache lookup, then a
    pool job (queue stamp, deadline check at dequeue, timed solve under
-   [span], checker) whose checked result is inserted into the cache.  The
+   [span], checker) whose checked result is packed into the cache.  The
    problem-specific parts are arguments: [problem], [algorithm] and
-   [seed] make the cache key (none when [cache] is off), [hit] picks this
-   problem's entries out of the shared cache and [store] wraps a result
-   for it, [solve], [check] and [reply] are the problem's solver, checker
-   and response, and [raised]/[infeasible] prefix its error messages. *)
-let solve_cached t tel ~id ~problem ~algorithm ~seed ~cache path tasks ~hit
-    ~store ?deadline ?histogram ~span ~raised ~infeasible ~solve ~check reply =
-  let key =
-    if cache then Some (Fingerprint.solve_key ~problem ~algorithm ~seed path tasks)
+   [seed] make the cache key (none when [cache] is off), [rounds] and
+   [of_rounds] convert a result to and from the rounds the cache packs
+   (a SAP solution is one round), [solve], [check] and [reply] are the
+   problem's solver, checker and response, and [raised]/[infeasible]
+   prefix its error messages.  A hit is rebuilt from this request's own
+   tasks: the key, compared in full, proves them equal to the ones that
+   filled the entry. *)
+let solve_cached t tel ~id ~problem ~algorithm ~seed ~cache path tasks ~rounds
+    ~of_rounds ?deadline ?histogram ~span ~raised ~infeasible ~solve ~check reply =
+  let fp =
+    if cache then Some (Fingerprint.make ~problem ~algorithm ~seed path tasks)
     else None
   in
-  match Option.bind (Option.bind key (Cache.find t.cache)) hit with
-  | Some v ->
+  let hit =
+    Option.bind fp (fun fp ->
+        Option.map (Fingerprint.unpack fp) (Cache.find t.cache (Fingerprint.key fp)))
+  in
+  match hit with
+  | Some r ->
       tel.cache_state <- Some "hit";
-      immediate (reply ~cached:true ~time_ms:0.0 v)
+      immediate (reply ~cached:true ~time_ms:0.0 (of_rounds r))
   | None ->
-      tel.cache_state <- Some (if key = None then "off" else "miss");
+      tel.cache_state <- Some (if Option.is_none fp then "off" else "miss");
       pooled t ~id ?deadline @@ fun () ->
       let t_deq = Obs.Clock.monotonic_seconds () in
       Atomic.set tel.queue_s (t_deq -. tel.t_recv);
@@ -399,7 +401,12 @@ let solve_cached t tel ~id ~problem ~algorithm ~seed ~cache path tasks ~hit
               match check v with
               | Error m -> fail t ~id P.Infeasible (infeasible ^ m)
               | Ok () ->
-                  Option.iter (fun k -> Cache.add t.cache k (store v)) key;
+                  Option.iter
+                    (fun fp ->
+                      Option.iter
+                        (Cache.add t.cache (Fingerprint.key fp))
+                        (Fingerprint.pack fp (rounds v)))
+                    fp;
                   reply ~cached:false ~time_ms:(dt *. 1000.0) v))
 
 (* Per-request parallelism stays off: the pool provides cross-request
@@ -420,8 +427,8 @@ let submit_solve t tel ~id (params : P.solve_params) path tasks =
       in
       solve_cached t tel ~id ~problem:"sap" ~algorithm:params.algorithm
         ~seed:params.seed ~cache:params.cache path tasks
-        ~hit:(function Sap_result sol -> Some sol | Round_result _ -> None)
-        ~store:(fun sol -> Sap_result sol)
+        ~rounds:(fun sol -> [ sol ])
+        ~of_rounds:List.concat
         ?deadline:
           (Option.map
              (fun ms ->
@@ -453,8 +460,7 @@ let submit_round_solve t tel ~id ~algorithm ~cache path tasks =
       | Ok inst ->
           solve_cached t tel ~id ~problem:"round" ~algorithm ~seed:0 ~cache path
             tasks
-            ~hit:(function Round_result r -> Some r | Sap_result _ -> None)
-            ~store:(fun rounds -> Round_result rounds)
+            ~rounds:Fun.id ~of_rounds:Fun.id
             ~span:"server.round_request" ~raised:"round solver raised: "
             ~infeasible:"round solver produced infeasible packing: "
             ~solve:(fun () -> solver.Round.Solvers.solve inst)

@@ -2,10 +2,11 @@
     {!Cache}.
 
     A request flows: admission check (draining servers refuse) → cache
-    lookup ({!Fingerprint.solve_key}) → pool submission (blocking past
-    the queue's high-water mark — that block {e is} the backpressure) →
-    solve + {!Core.Checker} verification in a worker domain → cache
-    insert.  Every request gets a monotonically-assigned server-side id
+    lookup (keyed by {!Fingerprint.make}'s canonical bytes, compared in
+    full; a hit is rebuilt from the request's own tasks) → pool
+    submission (blocking past the queue's high-water mark — that block
+    {e is} the backpressure) → solve + {!Core.Checker} verification in a
+    worker domain → cache insert of the packed placements.  Every request gets a monotonically-assigned server-side id
     and receive/dequeue/solve/respond timestamps, recorded into quantile
     latency histograms — [server.latency.total] (every request, plus
     [.hit]/[.miss] splits for solves), [server.latency.queue]

@@ -19,9 +19,9 @@ let serve_frames ic oc handle =
     | Some lines ->
         let respond, stop =
           match P.request_of_lines lines with
-          | Error m ->
+          | Error (id, m) ->
               Obs.Metrics.incr c_bad_frames;
-              let resp = P.Failed { id = -1; code = P.Bad_request; message = m } in
+              let resp = P.Failed { id; code = P.Bad_request; message = m } in
               ((fun () -> P.response_to_string resp), false)
           | Ok req -> (handle req, match req with P.Shutdown _ -> true | _ -> false)
         in

@@ -8,8 +8,9 @@
     response thunk, which goes to the connection's {!Pump}: a writer
     domain forces the thunks in admission order and writes each response
     the moment it is ready (ids let pipelined clients re-associate them
-    anyway).  A frame whose header does not parse is answered with an
-    [error] response under id [-1]; the stream stays usable.
+    anyway).  A frame that does not parse is answered with an [error]
+    response under its own id, or under id [-1] when its header does not
+    parse; the stream stays usable.
 
     End of input drains every admitted request in order before closing;
     a [shutdown] frame additionally drains the server itself (finish
@@ -23,8 +24,9 @@ val serve_frames :
     ({!Router.handle_session}).  Each parsed request is admitted with
     [handle req] on the reading domain; the returned thunk is forced on
     the pump's writer domain and must produce the full response frame.
-    A frame that does not parse is answered with [bad-request] under id
-    [-1] and counted in [server.bad_frames].  Reading stops at end of
+    A frame that does not parse is answered with [bad-request] and
+    counted in [server.bad_frames]: under the request's id when only its
+    body was rejected, under id [-1] when its header does not parse.  Reading stops at end of
     input, after a [shutdown] frame, or when the peer disappears; every
     admitted request is answered before the call returns.  Never raises
     for transport-level failures. *)

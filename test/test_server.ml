@@ -26,7 +26,47 @@ let fingerprint_order_invariant =
       let path, tasks = Helpers.tiny_instance seed in
       let arr = Array.of_list tasks in
       Util.Prng.shuffle (Util.Prng.create (seed + 1)) arr;
-      key_of path tasks = key_of path (Array.to_list arr))
+      key_of path tasks = key_of path (Array.to_list arr)
+      && key_of path tasks = key_of path (List.rev tasks))
+
+(* The key is the content itself, so changing any one field of any
+   instance changes it — a weight by a single ulp included. *)
+let fingerprint_injective =
+  Helpers.seed_property "any one changed field changes the key" (fun seed ->
+      let path, tasks = Helpers.tiny_instance seed in
+      let g = Util.Prng.create (seed + 7) in
+      let base = key_of path tasks in
+      let caps = Path.capacities path in
+      let e = Util.Prng.int g (Array.length caps) in
+      caps.(e) <- caps.(e) + 1;
+      let k = Util.Prng.int g (List.length tasks) in
+      let j = List.nth tasks k in
+      let changed ?(id = j.Task.id) ?(first = j.Task.first_edge)
+          ?(last = j.Task.last_edge) ?(demand = j.Task.demand)
+          ?(weight = j.Task.weight) () =
+        let j' = Task.make ~id ~first_edge:first ~last_edge:last ~demand ~weight in
+        key_of path (List.mapi (fun i t -> if i = k then j' else t) tasks)
+      in
+      let first, last =
+        if j.Task.first_edge < j.Task.last_edge then (j.Task.first_edge + 1, j.Task.last_edge)
+        else if j.Task.first_edge > 0 then (j.Task.first_edge - 1, j.Task.last_edge)
+        else (1, 1)
+      in
+      List.for_all
+        (fun (what, key) ->
+          if key = base then Alcotest.failf "seed %d: %s kept the key" seed what;
+          true)
+        [
+          ("capacity", key_of (Path.create caps) tasks);
+          ("id", changed ~id:(j.Task.id + 1000) ());
+          ("first edge", changed ~first ~last ());
+          ("last edge", changed ~last:(j.Task.last_edge + 1) ());
+          ("demand", changed ~demand:(j.Task.demand + 1) ());
+          ("weight ulp", changed ~weight:(Float.succ j.Task.weight) ());
+          ("seed", key_of ~seed:43 path tasks);
+          ("algorithm", key_of ~algorithm:"small" path tasks);
+          ("problem", key_of ~problem:"round" path tasks);
+        ])
 
 let fingerprint_field_sensitivity () =
   let path = Path.create [| 6; 8; 6; 7 |] in
@@ -67,15 +107,6 @@ let fingerprint_problem_kind_separates =
           key_of ~problem:"sap" ~algorithm ~seed:0 path tasks
           <> key_of ~problem:"round" ~algorithm ~seed:0 path tasks)
         [ "bands"; "first-fit"; "exact"; "combine" ])
-
-let fnv_reference () =
-  (* Published FNV-1a/64 test vectors. *)
-  Alcotest.(check string) "empty" "cbf29ce484222325"
-    (Printf.sprintf "%016Lx" (Fingerprint.fnv1a64 ""));
-  Alcotest.(check string) "a" "af63dc4c8601ec8c"
-    (Printf.sprintf "%016Lx" (Fingerprint.fnv1a64 "a"));
-  Alcotest.(check string) "foobar" "85944171f73967e8"
-    (Printf.sprintf "%016Lx" (Fingerprint.fnv1a64 "foobar"))
 
 (* ---------- cache ---------- *)
 
@@ -579,6 +610,59 @@ let e2e_round_solve () =
   | Proto.Failed { code = Proto.Bad_request; _ } -> ()
   | _ -> Alcotest.fail "expected bad-request"
 
+(* A hit is rebuilt from the request's own tasks, so it must return what
+   the miss that filled the entry returned: the same placements in the
+   same order and the same summary weight to the bit, whatever order the
+   repeat lists its tasks in.  A request one ulp away is a miss. *)
+let e2e_hit_replays_the_fill () =
+  let srv = Server.create ~config:{ Server.default_config with Server.workers = Some 2 } () in
+  Fun.protect ~finally:(fun () -> Server.drain srv) @@ fun () ->
+  let same_bits what a b =
+    Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  List.iter
+    (fun seed ->
+      let path, tasks = Helpers.tiny_instance ~max_tasks:12 seed in
+      let nudged =
+        match tasks with
+        | j :: rest ->
+            Task.make ~id:j.Task.id ~first_edge:j.Task.first_edge
+              ~last_edge:j.Task.last_edge ~demand:j.Task.demand
+              ~weight:(Float.succ j.Task.weight)
+            :: rest
+        | [] -> []
+      in
+      let solve id tasks =
+        match Server.handle srv (Proto.Solve { id; params = default_params; path; tasks }) with
+        | Proto.Solved { summary; solution; _ } -> (summary, solution)
+        | _ -> Alcotest.failf "seed %d: expected solved" seed
+      in
+      let round_solve id tasks =
+        match
+          Server.handle srv
+            (Proto.Round_solve { id; algorithm = "first-fit"; cache = true; path; tasks })
+        with
+        | Proto.Round_solved { summary; rounds; _ } -> (summary, rounds)
+        | _ -> Alcotest.failf "seed %d: expected round-solved" seed
+      in
+      let fill, fill_sol = solve 0 tasks in
+      let hit, hit_sol = solve 1 (List.rev tasks) in
+      Alcotest.(check (pair bool bool)) "miss, then hit" (false, true)
+        (fill.Proto.cached, hit.Proto.cached);
+      Alcotest.(check bool) "hit places as the fill did" true
+        (hit_sol = fill_sol);
+      same_bits "hit weight" fill.Proto.weight hit.Proto.weight;
+      Alcotest.(check bool) "one ulp away misses" false (fst (solve 2 nudged)).Proto.cached;
+      let rfill, rfill_rounds = round_solve 3 tasks in
+      let rhit, rhit_rounds = round_solve 4 (List.rev tasks) in
+      Alcotest.(check (pair bool bool)) "round miss, then hit" (false, true)
+        (rfill.Proto.r_cached, rhit.Proto.r_cached);
+      Alcotest.(check bool) "round hit packs as the fill did" true
+        (rhit_rounds = rfill_rounds);
+      Alcotest.(check bool) "round one ulp away misses" false
+        (fst (round_solve 5 nudged)).Proto.r_cached)
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 let e2e_shutdown_under_load () =
   (* The acceptance property: requests admitted before the shutdown frame
      all complete; requests after it are refused; the ack arrives only
@@ -828,7 +912,10 @@ let client_batch_over_pipes () =
 
 (* ---------- unix socket transport ---------- *)
 
-let serve_unix_concurrent_and_stop () =
+(* Serve on a fresh Unix socket while [f socket_path] runs, then stop:
+   a stop request wakes the idle listener immediately (self-pipe, not a
+   poll timeout) and removes the socket. *)
+let with_unix_server f =
   let dir = Filename.temp_file "sap_sock" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
@@ -859,6 +946,17 @@ let serve_unix_concurrent_and_stop () =
       end
   in
   wait_bound 500;
+  f socket_path;
+  let t0 = Unix.gettimeofday () in
+  Transport.request_stop stop;
+  Domain.join server_dom;
+  Transport.close_stopper stop;
+  Alcotest.(check bool) "stop was prompt" true (Unix.gettimeofday () -. t0 < 2.0);
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path);
+  Server.drain srv
+
+let serve_unix_concurrent_and_stop () =
+  with_unix_server @@ fun socket_path ->
   (* A full session: solve + stats on one connection. *)
   let session i =
     match Client.connect_unix socket_path with
@@ -909,16 +1007,36 @@ let serve_unix_concurrent_and_stop () =
   (* Two sessions in flight at once: the accept loop must serve both. *)
   let other = Domain.spawn (fun () -> session 1) in
   session 2;
-  Domain.join other;
-  (* A stop request wakes the idle listener immediately (self-pipe, not
-     a poll timeout) and removes the socket. *)
-  let t0 = Unix.gettimeofday () in
-  Transport.request_stop stop;
-  Domain.join server_dom;
-  Transport.close_stopper stop;
-  Alcotest.(check bool) "stop was prompt" true (Unix.gettimeofday () -. t0 < 2.0);
-  Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path);
-  Server.drain srv
+  Domain.join other
+
+(* A frame whose body is rejected is answered under its own request id,
+   so a pipelining client can tell which request failed; only a header
+   that does not parse is answered under id -1. *)
+let serve_unix_rejected_body_keeps_id () =
+  with_unix_server @@ fun socket_path ->
+  match Client.connect_unix socket_path with
+  | Error m -> Alcotest.failf "connect: %s" m
+  | Ok fd ->
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+      let huge = (1 lsl 62) - 1 in
+      Printf.fprintf oc
+        "sap-request v1 7 solve\nsap-instance v1\ncapacities %d %d\ntask 0 0 1 3 1\nend\n"
+        huge huge;
+      output_string oc "sap-request v1 zero ping\nend\n";
+      flush oc;
+      let read_line () = try Some (input_line ic) with End_of_file -> None in
+      let header () =
+        match Proto.read_frame ~read_line with
+        | Some (header :: _) -> header
+        | _ -> Alcotest.fail "no response frame"
+      in
+      let starts what prefix line =
+        Alcotest.(check string) what prefix (String.sub line 0 (min (String.length line) (String.length prefix)))
+      in
+      starts "rejected body under its id" "sap-response v1 7 error code=bad-request" (header ());
+      starts "unparseable header under -1" "sap-response v1 -1 error code=bad-request" (header ())
 
 let () =
   Alcotest.run "server"
@@ -927,8 +1045,8 @@ let () =
         [
           fingerprint_order_invariant;
           fingerprint_problem_kind_separates;
+          fingerprint_injective;
           case "field sensitivity" fingerprint_field_sensitivity;
-          case "fnv1a64 vectors" fnv_reference;
         ] );
       ( "cache",
         [
@@ -956,6 +1074,7 @@ let () =
           case "exact past the brute cap" e2e_exact_past_brute_cap;
           case "medium solves its own class" e2e_medium_solves_its_class;
           case "round-solve lifecycle + cache separation" e2e_round_solve;
+          case "a hit replays the fill" e2e_hit_replays_the_fill;
           case "graceful drain under load" e2e_shutdown_under_load;
         ] );
       ( "telemetry",
@@ -965,5 +1084,7 @@ let () =
           case "serve_channels session" serve_channels_session;
           case "client batch over pipes" client_batch_over_pipes;
           case "unix socket: concurrent sessions + stop" serve_unix_concurrent_and_stop;
+          case "unix socket: a rejected body keeps its id"
+            serve_unix_rejected_body_keeps_id;
         ] );
     ]
