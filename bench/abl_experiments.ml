@@ -109,7 +109,7 @@ let abl4 () =
               let b = 32 in
               let path = Path.create (Array.init 8 (fun _ -> b + Util.Prng.int g b)) in
               let tasks = Gen.Workloads.small_tasks ~prng:g ~path ~n:40 ~delta:0.2 () in
-              let sol =
+              let sol, _ =
                 Sap.Small.solve_band ~b ~rounding:(`Lp trials)
                   ~prng:(Util.Prng.create (seed + 1)) path tasks
               in

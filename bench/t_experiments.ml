@@ -262,11 +262,11 @@ let a1 () =
     Bench_util.seeds ~base:1000 ~count:8
     |> List.map (fun seed ->
            let b, path, tasks = band seed in
-           let lp_strip =
+           let lp_strip, _ =
              Sap.Small.solve_band ~b ~rounding:(`Lp 16) ~prng:(Util.Prng.create 3)
                path tasks
            in
-           let lr_strip =
+           let lr_strip, _ =
              Sap.Small.solve_band ~b ~rounding:`Local_ratio
                ~prng:(Util.Prng.create 3) path tasks
            in

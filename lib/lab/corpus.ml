@@ -427,12 +427,17 @@ let parse_float what s =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "expected number for %s, got %S" what s)
 
+(* Capacities and demands obey the instance formats' 2^40 limit. *)
+let parse_quantity what s =
+  let* v = parse_int what s in
+  Sap_io.Instance_io.check_quantity what v
+
 let parse_task_fields ~edges = function
   | [ id; first; last; demand; weight ] ->
       let* id = parse_int "id" id in
       let* first_edge = parse_int "first_edge" first in
       let* last_edge = parse_int "last_edge" last in
-      let* demand = parse_int "demand" demand in
+      let* demand = parse_quantity "demand" demand in
       let* weight = parse_float "weight" weight in
       let* j =
         try Ok (Task.make ~id ~first_edge ~last_edge ~demand ~weight)
@@ -465,7 +470,7 @@ let churn_of_string s =
       let* caps =
         match String.split_on_char ' ' caps_line |> List.filter (( <> ) "") with
         | "capacities" :: values when values <> [] ->
-            map_result (parse_int "capacity") values
+            map_result (parse_quantity "capacity") values
         | _ -> Error "malformed capacities line"
       in
       let* path =
@@ -483,7 +488,7 @@ let churn_of_string s =
             Ok (`Event (Churn_remove id))
         | [ "event"; "resize"; id; demand ] ->
             let* id = parse_int "id" id in
-            let* demand = parse_int "demand" demand in
+            let* demand = parse_quantity "demand" demand in
             let* () = if demand > 0 then Ok () else Error "resize demand must be positive" in
             Ok (`Event (Churn_resize (id, demand)))
         | "event" :: "add" :: fields ->

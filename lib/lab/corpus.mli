@@ -120,7 +120,8 @@ val churn_to_string : churn -> string
 
 val churn_of_string : string -> (churn, string) result
 (** Rejects a header mismatch, malformed lines, tasks leaving the path,
-    and a [steps] count disagreeing with the event lines. *)
+    a capacity or demand above {!Sap_io.Instance_io.max_quantity}, and a
+    [steps] count disagreeing with the event lines. *)
 
 val load : dir:string -> (t, string) result
 (** Parse [dir]'s manifest (instance files are read lazily by {!read}). *)

@@ -13,7 +13,9 @@ let h_lp_objective = Obs.Metrics.histogram "small.lp_objective"
 
 let h_band_seconds = Obs.Metrics.histogram "small.band_seconds"
 
-let solve_band ~b ~rounding ~prng path ts =
+type warm = Lp.Ufpp_lp.warm
+
+let solve_band ?warm ~b ~rounding ~prng path ts =
   List.iter
     (fun (j : Task.t) ->
       let bj = Path.bottleneck_of path j in
@@ -21,13 +23,13 @@ let solve_band ~b ~rounding ~prng path ts =
         invalid_arg "Small.solve_band: bottleneck outside [B, 2B)")
     ts;
   let budget = b / 2 in
-  if budget = 0 then []
+  if budget = 0 || ts = [] then ([], None)
   else Obs.Metrics.time h_band_seconds @@ fun () -> begin
     Obs.Metrics.incr m_bands;
     (* Step 1-3: a budget-packable UFPP solution inside the band. *)
-    let strip_ufpp =
+    let strip_ufpp, warm' =
       match rounding with
-      | `Local_ratio -> Ufpp.Strip_local_ratio.solve ~b path ts
+      | `Local_ratio -> (Ufpp.Strip_local_ratio.solve ~b path ts, None)
       | `Lp trials ->
           (* Observation 2 makes clipping free; when every capacity is
              already at most 2B it is also the identity, so skip the
@@ -36,16 +38,22 @@ let solve_band ~b ~rounding ~prng path ts =
             if 2 * b >= Path.max_capacity path then path
             else Path.clip path (2 * b)
           in
-          let lp = Lp.Ufpp_lp.solve clipped ts in
+          let lp, warm' =
+            Lp.Ufpp_lp.solve_scaled_warm clipped ~scale:1.0 ?warm ts
+          in
           Obs.Metrics.observe h_lp_objective lp.Lp.Ufpp_lp.value;
-          Obs.Trace.add_attr "lp_objective"
-            (Printf.sprintf "%.6g" lp.Lp.Ufpp_lp.value);
-          Obs.Trace.add_attr "rounding_trials" (string_of_int trials);
+          (* Formatted only under tracing: a session resolve packs one
+             band in about 10 us, and the formatting costs about 1 us. *)
+          if Obs.Trace.enabled () then begin
+            Obs.Trace.add_attr "lp_objective"
+              (Printf.sprintf "%.6g" lp.Lp.Ufpp_lp.value);
+            Obs.Trace.add_attr "rounding_trials" (string_of_int trials)
+          end;
           let fractional =
             Array.to_list lp.Lp.Ufpp_lp.tasks
             |> List.mapi (fun i j -> (j, 0.25 *. lp.Lp.Ufpp_lp.solution.(i)))
           in
-          Ufpp.Lp_rounding.round ~budget ~trials ~prng path fractional
+          (Ufpp.Lp_rounding.round ~budget ~trials ~prng path fractional, warm')
     in
     (* Step 4: strip transform (role of Lemma 4). *)
     let r =
@@ -55,15 +63,19 @@ let solve_band ~b ~rounding ~prng path ts =
     let loss = Dsa.Strip_transform.loss_fraction r in
     Obs.Metrics.observe h_loss loss;
     Obs.Metrics.add m_dropped (List.length r.Dsa.Strip_transform.dropped);
-    Obs.Trace.add_attr "loss_fraction" (Printf.sprintf "%.6g" loss);
-    Obs.Trace.add_attr "dropped" (string_of_int (List.length r.Dsa.Strip_transform.dropped));
-    r.Dsa.Strip_transform.packed
+    if Obs.Trace.enabled () then begin
+      Obs.Trace.add_attr "loss_fraction" (Printf.sprintf "%.6g" loss);
+      Obs.Trace.add_attr "dropped"
+        (string_of_int (List.length r.Dsa.Strip_transform.dropped))
+    end;
+    (r.Dsa.Strip_transform.packed, warm')
   end
 
 (* Exactly how many PRNG draws [solve_band] consumes: the LP-rounding
    path draws one Bernoulli per task per trial (the per-trial filter
    evaluates every task), and nothing else in the band touches the
-   generator.  Bands with budget [b/2 = 0] return before rounding. *)
+   generator.  Empty bands and bands with budget [b/2 = 0] return
+   before rounding. *)
 let band_draws ~rounding ~b n_tasks =
   match rounding with
   | `Local_ratio -> 0
@@ -105,7 +117,8 @@ let strip_pack ?(parallel = false) ~rounding ~prng path ts =
                   ("b", string_of_int b);
                   ("tasks", string_of_int (List.length band_tasks));
                 ]
-              (fun () -> solve_band ~b ~rounding ~prng:child path band_tasks))
+              (fun () ->
+                fst (solve_band ~b ~rounding ~prng:child path band_tasks)))
           (List.combine bands (List.rev offsets))
       in
       Util.Prng.skip prng total;

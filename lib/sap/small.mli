@@ -16,16 +16,27 @@
 
 type rounding = [ `Lp of int (** trials *) | `Local_ratio ]
 
+type warm = Lp.Ufpp_lp.warm
+(** The band LP's warm-start handle ({!Lp.Ufpp_lp.solve_scaled_warm}). *)
+
 val solve_band :
+  ?warm:warm ->
   b:int ->
   rounding:rounding ->
   prng:Util.Prng.t ->
   Core.Path.t ->
   Core.Task.t list ->
-  Core.Solution.sap
+  Core.Solution.sap * warm option
 (** [solve_band ~b ...] handles one band: all bottlenecks must lie in
     [\[b, 2b)].  Returns a [b/2]-packable SAP solution (heights in
-    [0, b/2)). *)
+    [0, b/2)) and the band LP's warm handle.
+
+    [warm] is the handle of an earlier solve of this band, possibly
+    over a different task set: the LP restarts from its basis instead
+    of from scratch.  Online sessions keep one handle per band this
+    way.  The returned handle is [None] under [`Local_ratio] (no LP).
+    An empty band and a band with [b/2 = 0] return [([], None)] before
+    any LP, touching neither the generator nor the [small.*] metrics. *)
 
 val strip_pack :
   ?parallel:bool ->

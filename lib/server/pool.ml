@@ -84,14 +84,19 @@ let create ?workers ?queue_capacity () =
   Atomic.set t.domains (List.init n_workers (fun _ -> Domain.spawn (worker_loop t)));
   t
 
+let promise () = { st = Pending; fm = Mutex.create (); fc = Condition.create () }
+
+(* The first completion wins; later ones are dropped. *)
 let complete fut st =
   Mutex.lock fut.fm;
-  fut.st <- st;
+  (match fut.st with Pending -> fut.st <- st | Done _ | Failed _ -> ());
   Condition.broadcast fut.fc;
   Mutex.unlock fut.fm
 
+let fulfil fut v = complete fut (Done v)
+
 let submit t f =
-  let fut = { st = Pending; fm = Mutex.create (); fc = Condition.create () } in
+  let fut = promise () in
   let job () =
     match f () with v -> complete fut (Done v) | exception e -> complete fut (Failed e)
   in

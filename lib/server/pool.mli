@@ -18,7 +18,9 @@
       [server.pool.{submitted,completed}].
 
     Futures are completed by the worker that ran the job; [await]-ing a
-    failed job re-raises the job's exception in the awaiter. *)
+    failed job re-raises the job's exception in the awaiter.  A
+    {!promise} is a future with no job behind it, completed by
+    {!fulfil}. *)
 
 type t
 
@@ -35,6 +37,14 @@ val create : ?workers:int -> ?queue_capacity:int -> unit -> t
 val submit : t -> (unit -> 'a) -> 'a future
 (** Enqueue a job; blocks while the queue is at capacity.
     @raise Closed once {!shutdown} has begun. *)
+
+val promise : unit -> 'a future
+(** A future that no job completes: {!fulfil} does.  The router uses
+    one per forwarded request as its reply slot. *)
+
+val fulfil : 'a future -> 'a -> unit
+(** Complete a future and wake its awaiters.  The first completion
+    wins; later ones are ignored. *)
 
 val await : 'a future -> 'a
 (** Block until the job finishes; re-raises its exception on failure. *)

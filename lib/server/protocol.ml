@@ -244,6 +244,29 @@ let response_to_string resp =
   Buffer.add_string buf "end\n";
   Buffer.contents buf
 
+(* ---------- relabelling ---------- *)
+
+(* The id is the header's third token.  It is spliced by byte span, not
+   by splitting and re-joining tokens, because [msg=] takes the rest of
+   an error header, spaces included. *)
+let with_id frame id =
+  let eol =
+    match String.index_opt frame '\n' with
+    | Some i -> i
+    | None -> String.length frame
+  in
+  let rec tok i = if i < eol && frame.[i] <> ' ' then tok (i + 1) else i in
+  let rec sp i = if i < eol && frame.[i] = ' ' then sp (i + 1) else i in
+  let start = sp (tok (sp (tok (sp 0)))) in
+  let stop = tok start in
+  if stop = start then invalid_arg "Protocol.with_id: header has no id";
+  String.concat ""
+    [
+      String.sub frame 0 start;
+      string_of_int id;
+      String.sub frame stop (String.length frame - stop);
+    ]
+
 (* ---------- parsing ---------- *)
 
 let ( let* ) = Result.bind
@@ -439,18 +462,32 @@ let split_msg line =
   in
   find 0
 
+(* A response header's id, status, attribute tokens and raw [msg=]
+   text: the one parse of the header layout, shared by
+   [response_header] and [response_of_lines]. *)
+let response_header_parts header =
+  let plain, msg =
+    match split_msg header with
+    | Some (before, raw) -> (before, Some raw)
+    | None -> (header, None)
+  in
+  match tokens plain with
+  | "sap-response" :: "v1" :: id :: status :: attr_toks ->
+      let* id = parse_int "response id" id in
+      Ok (id, status, attr_toks, msg)
+  | _ -> Error (Printf.sprintf "malformed response header %S" header)
+
+let response_header header =
+  let* id, status, _, _ = response_header_parts header in
+  Ok (id, status)
+
 let response_of_lines ~tasks_for lines =
   match lines with
   | [] -> Error "empty frame"
   | header :: body -> (
-      let plain, msg =
-        match split_msg header with
-        | Some (before, raw) -> (before, Some raw)
-        | None -> (header, None)
-      in
-      match tokens plain with
-      | "sap-response" :: "v1" :: id :: status :: attr_toks -> (
-          let* id = parse_int "response id" id in
+      match response_header_parts header with
+      | Error m -> Error m
+      | Ok (id, status, attr_toks, msg) -> (
           match status with
           | "solved" ->
               let* attrs =
@@ -609,8 +646,7 @@ let response_of_lines ~tasks_for lines =
                         Error "undecodable msg escape")
               in
               Ok (Failed { id; code; message }))
-          | other -> Error (Printf.sprintf "unknown status %S" other))
-      | _ -> Error (Printf.sprintf "malformed response header %S" header))
+          | other -> Error (Printf.sprintf "unknown status %S" other)))
 
 let strip_terminator lines =
   match List.rev lines with

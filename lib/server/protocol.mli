@@ -165,12 +165,25 @@ val request_of_string : string -> (request, string) result
 
 val response_to_string : response -> string
 
+val with_id : string -> int -> string
+(** [with_id frame id] is [frame] with its header's id (the third
+    token) replaced by [id].  Every other byte is kept, so a [msg=]
+    text and the body pass through verbatim.  It works on request and
+    response frames alike; the router relabels frames this way in both
+    directions.
+    @raise Invalid_argument if the header has fewer than three tokens. *)
+
 val response_of_lines :
   tasks_for:(int -> Core.Task.t list option) ->
   string list ->
   (response, string) result
 (** [tasks_for id] resolves a [solved] body's task ids against the
     instance the client sent under that request id. *)
+
+val response_header : string -> (int * string, string) result
+(** [(id, status)] of a response header line, by the header parse that
+    {!response_of_lines} runs first.  The attributes are not checked
+    and no body is needed. *)
 
 val response_of_string :
   tasks_for:(int -> Core.Task.t list option) ->

@@ -112,51 +112,25 @@ let backoff_max = 2.0
 (* Per-request re-homing attempts before answering [error]. *)
 let retry_limit = 5
 
-(* ---------- response slots ---------- *)
-
-(* A slot is completed exactly once, with the full response frame text
-   (client id already in place); the client session blocks on it when the
-   response reaches the head of its FIFO. *)
-type slot = {
-  sl_lock : Mutex.t;
-  sl_cond : Condition.t;
-  mutable sl_text : string option;
-}
-
-let slot () =
-  { sl_lock = Mutex.create (); sl_cond = Condition.create (); sl_text = None }
-
-let complete sl text =
-  Mutex.lock sl.sl_lock;
-  if sl.sl_text = None then sl.sl_text <- Some text;
-  Condition.broadcast sl.sl_cond;
-  Mutex.unlock sl.sl_lock
-
-let await sl =
-  Mutex.lock sl.sl_lock;
-  while sl.sl_text = None do
-    Condition.wait sl.sl_cond sl.sl_lock
-  done;
-  let text = Option.get sl.sl_text in
-  Mutex.unlock sl.sl_lock;
-  text
-
 (* ---------- shards ---------- *)
 
+(* An accepted request.  Its reply is completed exactly once, with the
+   full response frame text (client id already in place); the client
+   session blocks on it when the response reaches the head of its FIFO. *)
 type entry = {
   e_key : string;  (** consistent-hash key; "" for direct sends *)
   e_req : P.request;  (** as the client sent it (client id) *)
-  e_slot : slot;
+  e_reply : string Pool.future;
   e_client_id : int;
   e_t0 : float;
   mutable e_attempts : int;
 }
 
-let entry ?(key = "") req sl =
+let entry ?(key = "") req reply =
   {
     e_key = key;
     e_req = req;
-    e_slot = sl;
+    e_reply = reply;
     e_client_id = P.request_id req;
     e_t0 = now ();
     e_attempts = 0;
@@ -240,85 +214,14 @@ let add_to_ring t name =
   t.ring <- Ring.add t.ring name;
   Mutex.unlock t.ring_lock
 
-let with_id req id =
-  match req with
-  | P.Solve { id = _; params; path; tasks } -> P.Solve { id; params; path; tasks }
-  | P.Round_solve { id = _; algorithm; cache; path; tasks } ->
-      P.Round_solve { id; algorithm; cache; path; tasks }
-  | P.Stats _ -> P.Stats { id }
-  | P.Ping _ -> P.Ping { id }
-  | P.Shutdown _ -> P.Shutdown { id }
-  | P.Session_open { id = _; seed; path; tasks } ->
-      P.Session_open { id; seed; path; tasks }
-  | P.Session_add { id = _; session; task } -> P.Session_add { id; session; task }
-  | P.Session_remove { id = _; session; task_id } ->
-      P.Session_remove { id; session; task_id }
-  | P.Session_resolve { id = _; session; cold } ->
-      P.Session_resolve { id; session; cold }
-  | P.Session_close { id = _; session } -> P.Session_close { id; session }
-
-(* ---------- response-header surgery ----------
-
-   The router relays shard responses without re-parsing bodies (a parse
-   would need the instance's tasks, and re-serialisation is pure waste):
-   only the third header token — the id — is rewritten.  [msg=]
-   attributes swallow the rest of the line including consecutive spaces,
-   so the rewrite splices byte spans instead of splitting and rejoining
-   tokens. *)
-
-let header_spans line =
-  let n = String.length line in
-  let rec tok i = if i < n && line.[i] <> ' ' then tok (i + 1) else i in
-  let rec sp i = if i < n && line.[i] = ' ' then sp (i + 1) else i in
-  let a = tok (sp 0) in
-  let b = tok (sp a) in
-  let c = sp b in
-  let d = tok c in
-  if c >= n || d = c then None else Some (c, d)
-
-let header_sid line =
-  match header_spans line with
-  | None -> None
-  | Some (c, d) -> int_of_string_opt (String.sub line c (d - c))
-
-(* (status, rewritten header) of a response header line. *)
-let rewrite_header line client_id =
-  match header_spans line with
-  | None -> None
-  | Some (c, d) ->
-      let rewritten =
-        String.sub line 0 c ^ string_of_int client_id
-        ^ String.sub line d (String.length line - d)
-      in
-      let rest = String.sub line d (String.length line - d) in
-      let status =
-        match
-          String.split_on_char ' ' (String.trim rest)
-          |> List.filter (fun s -> s <> "")
-        with
-        | s :: _ -> s
-        | [] -> ""
-      in
-      Some (status, rewritten)
-
+(* Shard responses are relayed as they arrived, relabelled by
+   [P.with_id]: parsing a body would need the instance's tasks, and
+   printing it again is pure waste. *)
 let frame_text lines = String.concat "\n" lines ^ "\nend\n"
-
-(* Value of [key=] among a response header's attribute tokens ([msg=] is
-   last on error headers, which carry no session attribute — so the naive
-   token split is safe here). *)
-let header_attr line key =
-  let prefix = key ^ "=" in
-  String.split_on_char ' ' line
-  |> List.find_map (fun tok ->
-         if String.starts_with ~prefix tok then
-           Some
-             (String.sub tok (String.length prefix)
-                (String.length tok - String.length prefix))
-         else None)
 
 let fail_entry t entry code message =
   Atomic.incr t.n_errors;
-  complete entry.e_slot
+  Pool.fulfil entry.e_reply
     (P.response_to_string (P.Failed { id = entry.e_client_id; code; message }))
 
 (* Tear a connection down: wake its reader (EOF), which then runs the
@@ -360,7 +263,8 @@ let send t sh entry =
       Hashtbl.replace sh.sh_inflight sid entry;
       let wrote =
         try
-          output_string conn.cn_oc (P.request_to_string (with_id entry.e_req sid));
+          output_string conn.cn_oc
+            (P.with_id (P.request_to_string entry.e_req) sid);
           flush conn.cn_oc;
           true
         with Sys_error _ -> false
@@ -533,58 +437,49 @@ and reader_loop t sh conn fd =
     | None -> ()
     | Some [] -> loop ()
     | Some (header :: _ as lines) ->
-        (match header_sid header with
-        | None -> Obs.Metrics.incr c_bad_upstream
-        | Some sid -> (
+        (match P.response_header header with
+        | Error _ -> Obs.Metrics.incr c_bad_upstream
+        | Ok (sid, status) -> (
             Mutex.lock sh.sh_lock;
             let entry = Hashtbl.find_opt sh.sh_inflight sid in
             if entry <> None then Hashtbl.remove sh.sh_inflight sid;
             Mutex.unlock sh.sh_lock;
             match entry with
             | None -> Obs.Metrics.incr c_bad_upstream
-            | Some e -> (
-                match rewrite_header header e.e_client_id with
-                | None ->
-                    Obs.Metrics.incr c_bad_upstream;
-                    fail_entry t e P.Internal "router: malformed shard response"
-                | Some (status, header') ->
-                    (* A successful session-open names the new session;
-                       pin it to this shard for follow-up verbs. *)
-                    let opens =
-                      match e.e_req with P.Session_open _ -> true | _ -> false
-                    in
-                    if opens && String.equal status "session" then begin
-                      match
-                        Option.bind (header_attr header' "session")
-                          int_of_string_opt
-                      with
-                      | Some new_sid ->
-                          Mutex.protect t.sess_lock (fun () ->
-                              Hashtbl.replace t.sess_owners new_sid sh.sh_name)
-                      | None -> ()
-                    end;
-                    if is_solve e then begin
-                      let dt = now () -. e.e_t0 in
-                      Mutex.lock sh.sh_lock;
-                      sh.sh_latency <-
-                        Obs.Metrics.summary_observe sh.sh_latency dt;
-                      if String.equal status "error"
-                         || String.equal status "timeout"
-                      then begin
-                        sh.sh_errors <- sh.sh_errors + 1;
-                        Atomic.incr t.n_errors
-                      end;
-                      Mutex.unlock sh.sh_lock
-                    end;
-                    complete e.e_slot (frame_text (header' :: List.tl lines)))));
+            | Some e ->
+                (* A successful session-open names the new session; pin
+                   it to this shard for follow-up verbs. *)
+                (match e.e_req with
+                | P.Session_open { tasks; _ } -> (
+                    let tasks_for _ = Some tasks in
+                    match P.response_of_lines ~tasks_for lines with
+                    | Ok (P.Session_reply { session; event = P.Sess_opened; _ })
+                      ->
+                        Mutex.protect t.sess_lock (fun () ->
+                            Hashtbl.replace t.sess_owners session sh.sh_name)
+                    | _ -> ())
+                | _ -> ());
+                if is_solve e then begin
+                  let dt = now () -. e.e_t0 in
+                  Mutex.lock sh.sh_lock;
+                  sh.sh_latency <- Obs.Metrics.summary_observe sh.sh_latency dt;
+                  if String.equal status "error" || String.equal status "timeout"
+                  then begin
+                    sh.sh_errors <- sh.sh_errors + 1;
+                    Atomic.incr t.n_errors
+                  end;
+                  Mutex.unlock sh.sh_lock
+                end;
+                Pool.fulfil e.e_reply
+                  (P.with_id (frame_text lines) e.e_client_id)));
         loop ()
   in
   (try loop () with _ -> ());
   conn_dead t sh conn
 
 (* Send [req] straight to one shard (bypassing the ring) and complete
-   [sl] with its answer. *)
-let send_direct t sh req sl = send t sh (entry req sl) = Some true
+   [reply] with its answer. *)
+let send_direct t sh req reply = send t sh (entry req reply) = Some true
 
 (* ---------- lifecycle ---------- *)
 
@@ -623,8 +518,9 @@ let retire t sh =
         (* Graceful: the shard answers everything it admitted, acks, and
            exits; the EOF runs the shared death path (stopping is set, so
            no recovery starts). *)
-        let sl = slot () in
-        if send_direct t sh (P.Shutdown { id = 0 }) sl then ignore (await sl)
+        let fut = Pool.promise () in
+        if send_direct t sh (P.Shutdown { id = 0 }) fut then
+          ignore (Pool.await fut)
       end
       else kill_conn c;
       join_conn c
@@ -733,8 +629,9 @@ let drain_shard t name =
       match (was_up, conn) with
       | true, Some c ->
           logf t (Printf.sprintf "event=shard-drain shard=%s" name);
-          let sl = slot () in
-          if send_direct t sh (P.Shutdown { id = 0 }) sl then ignore (await sl);
+          let fut = Pool.promise () in
+          if send_direct t sh (P.Shutdown { id = 0 }) fut then
+            ignore (Pool.await fut);
           join_conn c;
           Mutex.lock sh.sh_lock;
           reap_child sh;
@@ -748,23 +645,13 @@ let drain_shard t name =
    connection (the shard answers after everything admitted before the
    scrape, FIFO — same semantics as scraping a single serve process). *)
 let scrape_shard t sh =
-  let sl = slot () in
-  if not (send_direct t sh (P.Stats { id = 0 }) sl) then Obs.Json.Null
-  else begin
-    let text = await sl in
-    match String.split_on_char '\n' text with
-    | header :: body
-      when (match rewrite_header header 0 with
-           | Some ("stats", _) -> true
-           | _ -> false) -> (
-        match List.filter (fun l -> l <> "end" && l <> "") body with
-        | [ json_line ] -> (
-            match Obs.Json.of_string json_line with
-            | Ok j -> j
-            | Error _ -> Obs.Json.Null)
-        | _ -> Obs.Json.Null)
+  let fut = Pool.promise () in
+  if not (send_direct t sh (P.Stats { id = 0 }) fut) then Obs.Json.Null
+  else
+    let tasks_for _ = None in
+    match P.response_of_string ~tasks_for (Pool.await fut) with
+    | Ok (P.Stats_reply { stats; _ }) -> stats
     | _ -> Obs.Json.Null
-  end
 
 let stats_json t =
   let open Obs.Json in
@@ -828,14 +715,6 @@ let owner_for t ~key =
   Mutex.unlock t.ring_lock;
   o
 
-let shard_pids t =
-  Array.to_list t.shards
-  |> List.map (fun sh ->
-         Mutex.lock sh.sh_lock;
-         let pid = sh.sh_pid in
-         Mutex.unlock sh.sh_lock;
-         (sh.sh_name, pid))
-
 let draining t = Atomic.get t.stopping
 
 (* ---------- client sessions ---------- *)
@@ -859,10 +738,10 @@ let handle_session t ic oc =
       reply (P.Failed { id; code = P.Shutting_down; message = "router draining" })
     else begin
       let key = Fingerprint.solve_key ~problem ~algorithm ~seed path tasks in
-      let sl = slot () in
+      let fut = Pool.promise () in
       Obs.Metrics.incr c_forwarded;
-      dispatch t (entry ~key req sl);
-      fun () -> await sl
+      dispatch t (entry ~key req fut);
+      fun () -> Pool.await fut
     end
   in
   match req with
@@ -886,9 +765,9 @@ let handle_session t ic oc =
       match Option.bind owner (shard_by_name t) with
       | None -> unknown (Printf.sprintf "router: unknown session %d" sid)
       | Some sh ->
-          let sl = slot () in
-          if send_direct t sh req sl then fun () ->
-            let text = await sl in
+          let fut = Pool.promise () in
+          if send_direct t sh req fut then fun () ->
+            let text = Pool.await fut in
             (match req with
             | P.Session_close _ ->
                 Mutex.protect t.sess_lock (fun () ->

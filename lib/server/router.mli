@@ -119,9 +119,6 @@ val owner_for : t -> key:string -> string option
 (** Current ring owner for a raw key (what a [solve] with this
     fingerprint would hash to).  Exposed for benches and tests. *)
 
-val shard_pids : t -> (string * int option) list
-(** [(name, pid)] per shard; [None] for external shards. *)
-
 val draining : t -> bool
 
 val stats_json : t -> Obs.Json.t

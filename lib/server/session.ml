@@ -15,12 +15,6 @@ let m_reused = Obs.Metrics.counter "session.bands_reused"
 
 let h_resolve = Obs.Metrics.histogram "session.resolve_seconds"
 
-(* LP-rounding trials per band: the combine default's. *)
-let trials =
-  match Sap.Combine.default_config.Sap.Combine.rounding with
-  | `Lp k -> k
-  | `Local_ratio -> 16
-
 (* One bottleneck band [J_t = { j : 2^t <= b(j) < 2^(t+1) }] of the
    session's instance.  The band owns everything a repack needs: its
    current tasks, the warm handle of its last LP solve, and the lifted
@@ -31,7 +25,7 @@ type band = {
   bt : int;  (* band exponent t; B = 2^t *)
   mutable b_tasks : Task.t list;  (* kept sorted by id *)
   mutable b_dirty : bool;
-  mutable b_warm : Lp.Ufpp_lp.warm option;
+  mutable b_warm : Sap.Small.warm option;
   mutable b_placed : Core.Solution.sap;  (* lifted into [B/2, B) *)
 }
 
@@ -122,40 +116,22 @@ let remove_task t id =
       Obs.Metrics.incr m_deltas;
       Ok ()
 
-(* One band of [Small.solve_band]'s LP pipeline, with two session
-   twists: the LP restarts from the band's previous basis (warm), and
-   the rounding generator is derived from (session seed, band exponent)
-   only — never from other bands' draw counts — so a band's placements
-   are a pure function of its own task set and the session seed. *)
+(* One band through [Small.solve_band], with two session twists: the LP
+   restarts from the band's previous basis (warm), and the rounding
+   generator is derived from (session seed, band exponent) only — never
+   from other bands' draw counts — so a band's placements are a pure
+   function of its own task set and the session seed.  The third result
+   says whether the LP started from a basis. *)
 let pack_band t band ~cold =
   let b = 1 lsl band.bt in
-  let budget = b / 2 in
-  if budget = 0 || band.b_tasks = [] then ([], None, false)
-  else begin
-    let clipped =
-      if 2 * b >= Path.max_capacity t.s_path then t.s_path
-      else Path.clip t.s_path (2 * b)
-    in
-    let warm = if cold then None else band.b_warm in
-    let seeded = warm <> None in
-    let lp, warm' =
-      Lp.Ufpp_lp.solve_scaled_warm clipped ~scale:1.0 ?warm band.b_tasks
-    in
-    let fractional =
-      Array.to_list lp.Lp.Ufpp_lp.tasks
-      |> List.mapi (fun i j -> (j, 0.25 *. lp.Lp.Ufpp_lp.solution.(i)))
-    in
-    let prng = Util.Prng.create ((t.s_seed * 1_000_003) + band.bt) in
-    let strip =
-      Ufpp.Lp_rounding.round ~budget ~trials ~prng t.s_path
-        fractional
-    in
-    let r =
-      Dsa.Strip_transform.transform ~height:budget
-        ~edges:(Path.num_edges t.s_path) strip
-    in
-    (Core.Solution.lift r.Dsa.Strip_transform.packed budget, warm', seeded)
-  end
+  let warm = if cold || band.b_tasks = [] then None else band.b_warm in
+  let placed, warm' =
+    Sap.Small.solve_band ?warm ~b
+      ~rounding:Sap.Combine.default_config.Sap.Combine.rounding
+      ~prng:(Util.Prng.create ((t.s_seed * 1_000_003) + band.bt))
+      t.s_path band.b_tasks
+  in
+  (Core.Solution.lift placed (b / 2), warm', warm <> None)
 
 let sorted_bands t =
   Hashtbl.fold (fun _ band acc -> band :: acc) t.s_bands []

@@ -5,13 +5,15 @@
     bottleneck bands of Algorithm Strip-Pack ({!Core.Classify.strip_bands}
     semantics): bands are solved independently and stacked into disjoint
     vertical ranges, so a delta only invalidates the bands whose task set
-    changed.  {!resolve} repacks exactly those dirty bands — each via the
-    band LP restarted from the spanning tree of its previous solve
-    ({!Lp.Ufpp_lp.solve_scaled_warm}) — and reuses every untouched band's
-    placements verbatim, bit for bit.  Each band's rounding generator is
-    derived from the session seed and the band exponent only, so a band's
-    placements are a pure function of (seed, band task set): repacking an
-    unchanged band cold reproduces the same placements.
+    changed.  {!resolve} repacks exactly those dirty bands and reuses
+    every untouched band's placements verbatim, bit for bit.  A band is
+    packed by {!Sap.Small.solve_band}, the same LP, rounding and strip
+    transform that [Small.strip_pack] runs, with the band LP restarted
+    from the basis of its previous solve (its warm handle).  Each band's
+    rounding generator is derived from the session seed and the band
+    exponent only, so a band's placements are a pure function of (seed,
+    band task set): repacking an unchanged band cold reproduces the same
+    placements.
 
     The merged solution is re-verified by {!Core.Checker.sap_feasible}
     before it is returned; an infeasible merge (a bug, not an input
@@ -20,7 +22,10 @@
     A session value is not thread-safe; callers (the server's session
     registry) serialize access.  Emits [session.opened], [session.closed],
     [session.deltas], [session.resolves], [session.bands_repacked],
-    [session.bands_reused] and the [session.resolve_seconds] histogram. *)
+    [session.bands_reused] and the [session.resolve_seconds] histogram.
+    Every repacked band that holds tasks also counts in [Small]'s
+    metrics ([small.bands], [small.band_seconds], [small.lp_objective],
+    [small.loss_fraction], [small.dropped_tasks]). *)
 
 type t
 
@@ -38,10 +43,11 @@ type summary = {
 val create : ?seed:int -> Core.Path.t -> Core.Task.t list -> (t, string) result
 (** [create path tasks] opens a session on the base instance.  [seed]
     drives the per-band rounding generators (default:
-    [Combine.default_config.seed]); each band rounds with the combine
-    config's LP-rounding trials (16).  Fails on duplicate task ids or
-    tasks outside the path.  The session starts with every band dirty —
-    call {!resolve} for the initial solution. *)
+    [Combine.default_config.seed]); each band rounds as the combine
+    config does ([Combine.default_config.rounding], 16 LP-rounding
+    trials).  Fails on duplicate task ids or tasks outside the path.
+    The session starts with every band dirty — call {!resolve} for the
+    initial solution. *)
 
 val add_task : t -> Core.Task.t -> (unit, string) result
 (** Fails on a duplicate id or a task outside the path.  A task whose

@@ -54,8 +54,6 @@ val stopper : unit -> stopper
 val request_stop : stopper -> unit
 (** Set the flag and wake the accept loop.  Idempotent. *)
 
-val stop_requested : stopper -> bool
-
 val close_stopper : stopper -> unit
 (** Release the pipe fds.  Only call after the serving call using this
     stopper has returned.  [serve_unix*] closes stoppers it created

@@ -218,6 +218,40 @@ let corpus_deterministic () =
                     (read t1 e1) (read t2 e2))
                 t1.Lab.Corpus.entries t2.Lab.Corpus.entries)))
 
+(* Churn traces share the instance formats' 2^40 limit: a capacity, a
+   task or [add] demand, or a [resize] demand past it is a parse error
+   that names the limit, and the limit itself parses. *)
+let churn_quantity_limit () =
+  let lim = Sap_io.Instance_io.max_quantity in
+  let trace ?(cap = 8) ?(demand = 2) event =
+    Printf.sprintf
+      "sap-churn v1\nseed 1\nsteps 1\ncapacities %d 8\ntask 0 0 1 %d 1.5\n%s\n"
+      cap demand event
+  in
+  let names_limit m =
+    let sub = string_of_int lim in
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length m && (String.sub m i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  (match Lab.Corpus.churn_of_string (trace ~cap:lim ~demand:lim "event remove 0") with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "at the limit: rejected: %s" m);
+  List.iter
+    (fun (what, text) ->
+      match Lab.Corpus.churn_of_string text with
+      | Ok _ -> Alcotest.failf "%s past the limit: accepted" what
+      | Error m ->
+          Alcotest.(check bool) (what ^ ": names the limit") true (names_limit m))
+    [
+      ("capacity", trace ~cap:(2 * lim) "event remove 0");
+      ("task demand", trace ~demand:(lim + 1) "event remove 0");
+      ("add demand", trace (Printf.sprintf "event add 1 0 1 %d 2.5" (lim + 1)));
+      ("resize demand", trace (Printf.sprintf "event resize 0 %d" (lim + 1)));
+    ]
+
 (* ---------- the ratio pipeline ---------- *)
 
 let ratio_run_respects_bounds () =
@@ -852,6 +886,7 @@ let run () =
         [
           case "round trip" corpus_roundtrip;
           case "deterministic" corpus_deterministic;
+          case "churn traces obey the 2^40 limit" churn_quantity_limit;
         ] );
       ( "ratio",
         [

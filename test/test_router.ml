@@ -413,6 +413,43 @@ let router_serves_every_verb () =
       | Proto.Ack { id = 7 } -> ()
       | resp -> unexpected "ping" resp
 
+(* A shard's error answer is relayed verbatim: the frame a client reads
+   through the front equals, byte for byte, the one the shard sends a
+   direct client under the same id.  The router relabels only the id,
+   and a [msg=] holding spaces and quotes arrives intact. *)
+let router_relays_errors_verbatim () =
+  with_fleet ~shards:2 @@ fun fl ->
+  let path, tasks = Helpers.tiny_instance 31 in
+  let params = { default_params with Proto.algorithm = "nope" } in
+  let req = Proto.Solve { id = 7; params; path; tasks } in
+  let exchange socket =
+    match Client.connect_unix socket with
+    | Error m -> Alcotest.failf "connect %s: %s" socket m
+    | Ok fd -> (
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        @@ fun () ->
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        output_string oc (Proto.request_to_string req);
+        flush oc;
+        let read_line () = try Some (input_line ic) with End_of_file -> None in
+        match Proto.read_frame ~read_line with
+        | None -> Alcotest.failf "%s: eof instead of a response" socket
+        | Some lines -> lines)
+  in
+  let direct = exchange (Filename.concat fl.fl_dir "shard-0.sock") in
+  let relayed = exchange fl.fl_front in
+  Alcotest.(check (list string)) "the shard's frame, relayed" direct relayed;
+  match Proto.response_of_lines ~tasks_for:(fun _ -> None) relayed with
+  | Ok (Proto.Failed { id = 7; code = Proto.Unknown_algorithm; message }) ->
+      Alcotest.(check bool)
+        ("message intact: " ^ message)
+        true
+        (String.starts_with ~prefix:"unknown algorithm \"nope\" (have: " message)
+  | Ok resp -> Alcotest.failf "unexpected %s" (Proto.response_to_string resp)
+  | Error m -> Alcotest.failf "bad response: %s" m
+
 (* ---------- loadgen sweep knee ---------- *)
 
 let knee_detection () =
@@ -446,6 +483,8 @@ let () =
           case "drain under load loses nothing" drain_under_load_loses_nothing;
           case "round-solve, session, bad frame and ping through the front"
             router_serves_every_verb;
+          case "a shard's error reaches the client verbatim"
+            router_relays_errors_verbatim;
         ] );
       ("sweep", [ case "knee detection" knee_detection ]);
     ]

@@ -18,7 +18,7 @@ let band_packable_lp =
   Helpers.seed_property ~count:40 "LP band solution is B/2-packable" (fun seed ->
       let path, tasks = band_instance seed in
       let prng = Util.Prng.create (seed + 1) in
-      let sol = Sap.Small.solve_band ~b:16 ~rounding:(`Lp 8) ~prng path tasks in
+      let sol, _ = Sap.Small.solve_band ~b:16 ~rounding:(`Lp 8) ~prng path tasks in
       Result.is_ok (Core.Checker.sap_feasible_within path ~bound:8 sol)
       && Core.Checker.subset_of (Core.Solution.sap_tasks sol) tasks)
 
@@ -27,7 +27,7 @@ let band_packable_local_ratio =
     (fun seed ->
       let path, tasks = band_instance seed in
       let prng = Util.Prng.create (seed + 1) in
-      let sol = Sap.Small.solve_band ~b:16 ~rounding:`Local_ratio ~prng path tasks in
+      let sol, _ = Sap.Small.solve_band ~b:16 ~rounding:`Local_ratio ~prng path tasks in
       Result.is_ok (Core.Checker.sap_feasible_within path ~bound:8 sol))
 
 let band_rejects_out_of_band () =
@@ -44,10 +44,26 @@ let band_nonempty_on_easy_input () =
   let path = Path.uniform ~edges:4 ~capacity:20 in
   let mk id d = Task.make ~id ~first_edge:0 ~last_edge:3 ~demand:d ~weight:1.0 in
   let tasks = [ mk 0 1; mk 1 1; mk 2 1 ] in
-  let sol =
+  let sol, _ =
     Sap.Small.solve_band ~b:16 ~rounding:(`Lp 8) ~prng:(Util.Prng.create 1) path tasks
   in
   Alcotest.(check bool) "keeps at least 2 of 3" true (List.length sol >= 2)
+
+(* The band LP's warm handle: an LP band returns one, a restart from it
+   keeps the placements, and [`Local_ratio] and an empty band return
+   none (the empty band before any LP). *)
+let band_warm_handle () =
+  let path, tasks = band_instance 3 in
+  let solve ?warm rounding ts =
+    Sap.Small.solve_band ?warm ~b:16 ~rounding ~prng:(Util.Prng.create 4) path ts
+  in
+  let cold, warm = solve (`Lp 8) tasks in
+  Alcotest.(check bool) "LP band returns a handle" true (Option.is_some warm);
+  Alcotest.(check bool) "warm restart keeps placements" true
+    (fst (solve ?warm (`Lp 8) tasks) = cold);
+  Alcotest.(check bool) "no handle without an LP" true
+    (Option.is_none (snd (solve `Local_ratio tasks)));
+  Alcotest.(check bool) "empty band" true (solve ?warm (`Lp 8) [] = ([], None))
 
 (* ---------- strip_pack ---------- *)
 
@@ -132,6 +148,7 @@ let () =
           band_packable_local_ratio;
           case "out of band rejected" band_rejects_out_of_band;
           case "easy input" band_nonempty_on_easy_input;
+          case "warm handle" band_warm_handle;
         ] );
       ( "strip_pack",
         [

@@ -200,6 +200,21 @@ let pool_await_until_deadline () =
   Alcotest.(check (option int)) "deadline first" None early;
   Alcotest.(check int) "job still completes" 42 (Pool.await fut)
 
+(* A promise is completed by [fulfil], not by a job: an awaiter in
+   another domain wakes with the first value, and a later [fulfil] is
+   ignored (the router fails or answers each request once, whichever
+   comes first). *)
+let pool_promise_first_wins () =
+  let fut = Pool.promise () in
+  let waiter = Domain.spawn (fun () -> Pool.await fut) in
+  Unix.sleepf 0.01;
+  Pool.fulfil fut "first";
+  Pool.fulfil fut "second";
+  Alcotest.(check string) "awaiter wakes with the first" "first" (Domain.join waiter);
+  Alcotest.(check string) "later fulfil ignored" "first" (Pool.await fut);
+  Alcotest.(check (option string)) "no wait once fulfilled" (Some "first")
+    (Pool.await_until fut ~deadline:0.0)
+
 (* ---------- protocol ---------- *)
 
 let sample_params seed =
@@ -348,6 +363,126 @@ let response_roundtrip =
                        a.rounds b.rounds
               | _ -> resp = resp'))
         resps)
+
+(* Every request kind, and every response kind, under one id.  The
+   error messages hold arbitrary bytes, and double spaces and quotes. *)
+let every_request seed id =
+  let path, tasks = Helpers.tiny_instance seed in
+  [
+    Proto.Solve { id; params = sample_params seed; path; tasks };
+    Proto.Round_solve { id; algorithm = "bands"; cache = seed mod 2 = 0; path; tasks };
+    Proto.Stats { id };
+    Proto.Ping { id };
+    Proto.Shutdown { id };
+    Proto.Session_open { id; seed; path; tasks };
+    Proto.Session_add { id; session = seed; task = List.hd tasks };
+    Proto.Session_remove { id; session = seed; task_id = 3 };
+    Proto.Session_resolve { id; session = seed; cold = seed mod 2 = 0 };
+    Proto.Session_close { id; session = seed };
+  ]
+
+let every_response seed id =
+  let _, tasks = Helpers.tiny_instance seed in
+  let solution = List.mapi (fun i j -> (j, i)) tasks in
+  let summary =
+    {
+      Proto.s_tasks = List.length tasks;
+      s_scheduled = List.length solution;
+      s_weight = Core.Solution.sap_weight solution;
+      s_bands = 2;
+      s_repacked = 1;
+      s_reused = 1;
+      s_warm = 1;
+      s_time_ms = 0.25;
+    }
+  in
+  [
+    Proto.Solved
+      {
+        id;
+        summary =
+          {
+            Proto.scheduled = List.length solution;
+            weight = Core.Solution.sap_weight solution;
+            cached = false;
+            time_ms = 1.5;
+          };
+        solution;
+      };
+    Proto.Round_solved
+      {
+        id;
+        summary = { Proto.r_rounds = 1; r_cached = true; r_time_ms = 0.0 };
+        rounds = [ List.map (fun j -> (j, 0)) tasks ];
+      };
+    Proto.Stats_reply { id; stats = Obs.Json.Obj [ ("requests", Obs.Json.Int seed) ] };
+    Proto.Ack { id };
+    Proto.Failed { id; code = Proto.Internal; message = nasty_message seed };
+    Proto.Failed
+      {
+        id;
+        code = Proto.Unknown_algorithm;
+        message = "unknown  algorithm \"nope\"  (have:  a, b)";
+      };
+    Proto.Timed_out { id };
+    Proto.Session_reply
+      { id; session = seed; event = Proto.Sess_opened; summary = Some summary; solution };
+    Proto.Session_reply
+      { id; session = seed; event = Proto.Sess_ack; summary = None; solution = [] };
+  ]
+
+(* [with_id] relabels a printed frame exactly as printing it under the
+   other id would, so it changes the id token and nothing else. *)
+let with_id_changes_only_the_id =
+  Helpers.seed_property "with_id changes only the id token" (fun seed ->
+      let a = seed mod 997 and b = 1000 + seed in
+      let relabels print frames_a frames_b =
+        List.for_all2
+          (fun x y ->
+            let relabelled = Proto.with_id (print x) b in
+            relabelled = print y
+            || Alcotest.failf "with_id %d:\n%s\nexpected:\n%s" b relabelled (print y))
+          frames_a frames_b
+      in
+      relabels Proto.request_to_string (every_request seed a) (every_request seed b)
+      && relabels Proto.response_to_string (every_response seed a)
+           (every_response seed b))
+
+let wire_status = function
+  | Proto.Solved _ -> "solved"
+  | Proto.Round_solved _ -> "round-solved"
+  | Proto.Stats_reply _ -> "stats"
+  | Proto.Ack _ -> "ok"
+  | Proto.Failed _ -> "error"
+  | Proto.Timed_out _ -> "timeout"
+  | Proto.Session_reply _ -> "session"
+
+let response_header_agrees =
+  Helpers.seed_property "response_header agrees with response_of_lines"
+    (fun seed ->
+      let id = seed mod 997 in
+      let _, tasks = Helpers.tiny_instance seed in
+      let tasks_for i = if i = id then Some tasks else None in
+      List.for_all
+        (fun resp ->
+          let lines =
+            String.split_on_char '\n' (Proto.response_to_string resp)
+            |> List.filter (fun l -> l <> "" && l <> "end")
+          in
+          match
+            ( Proto.response_header (List.hd lines),
+              Proto.response_of_lines ~tasks_for lines )
+          with
+          | Ok header, Ok resp' ->
+              header = (Proto.response_id resp', wire_status resp')
+              && header = (id, wire_status resp)
+          | Error m, _ | _, Error m -> Alcotest.failf "parse failed: %s" m)
+        (every_response seed id)
+      && List.for_all
+           (fun header ->
+             Result.is_error (Proto.response_header header)
+             && Result.is_error (Proto.response_of_lines ~tasks_for [ header ]))
+           [ ""; "sap-response v1"; "sap-response v1 x ok"; "sap-request v1 3 ok" ])
 
 let protocol_rejects_malformed () =
   let expect_error what s =
@@ -1060,11 +1195,14 @@ let () =
           case "drain loses nothing" pool_drain_loses_nothing;
           case "closed after shutdown" pool_rejects_after_shutdown;
           case "await_until deadline" pool_await_until_deadline;
+          case "promise: first fulfil wins" pool_promise_first_wins;
         ] );
       ( "protocol",
         [
           request_roundtrip;
           response_roundtrip;
+          with_id_changes_only_the_id;
+          response_header_agrees;
           case "rejects malformed" protocol_rejects_malformed;
         ] );
       ( "lifecycle",

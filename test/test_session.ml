@@ -132,6 +132,76 @@ let delta_validation () =
     (List.exists (fun ((j : Task.t), _) -> j.Task.id = 8000) sol);
   Session.close sess
 
+(* ---------- pinned churn replays ---------- *)
+
+(* Replay [Corpus.generate_churn ~seed ~steps:40] straight against a
+   session: resolve after the open and after every event, a resize as
+   remove-then-add under the same id.  Returns the number of resolves,
+   the total scheduled, the final weight's bits, and the totals of bands
+   repacked and warm-seeded. *)
+let replay_churn ~cold seed =
+  let c = Lab.Corpus.generate_churn ~seed ~steps:40 in
+  let sess = create_exn ~seed c.Lab.Corpus.churn_path c.Lab.Corpus.churn_base in
+  let resolves = ref 0 and scheduled = ref 0 and weight = ref 0.0 in
+  let repacked = ref 0 and warm_seeded = ref 0 in
+  let resolve () =
+    let _, s = resolve_exn ~cold sess in
+    incr resolves;
+    scheduled := !scheduled + s.Session.scheduled;
+    weight := s.Session.weight;
+    repacked := !repacked + s.Session.repacked;
+    warm_seeded := !warm_seeded + s.Session.warm_seeded
+  in
+  let ok = function Ok () -> () | Error m -> Alcotest.fail m in
+  resolve ();
+  List.iter
+    (fun ev ->
+      (match ev with
+      | Lab.Corpus.Churn_add j -> ok (Session.add_task sess j)
+      | Lab.Corpus.Churn_remove id -> ok (Session.remove_task sess id)
+      | Lab.Corpus.Churn_resize (id, demand) ->
+          let j =
+            List.find (fun (j : Task.t) -> j.Task.id = id) (Session.tasks sess)
+          in
+          ok (Session.remove_task sess id);
+          ok
+            (Session.add_task sess
+               (Task.make ~id ~first_edge:j.Task.first_edge
+                  ~last_edge:j.Task.last_edge ~demand ~weight:j.Task.weight)));
+      resolve ())
+    c.Lab.Corpus.churn_events;
+  Session.close sess;
+  (!resolves, !scheduled, Int64.bits_of_float !weight, !repacked, !warm_seeded)
+
+(* The values were recorded while the session still carried its own
+   copy of the band pipeline: packing bands through [Small.solve_band]
+   must not move a placement, a weight bit or a warm start. *)
+let pinned_churn_replays () =
+  List.iter
+    (fun (seed, scheduled, weight_bits, warm_seeded) ->
+      List.iter
+        (fun cold ->
+          let name what =
+            Printf.sprintf "seed %d %s: %s" seed
+              (if cold then "cold" else "warm")
+              what
+          in
+          let r, s, w, rep, ws = replay_churn ~cold seed in
+          Alcotest.(check int) (name "resolves") 41 r;
+          Alcotest.(check int) (name "scheduled") scheduled s;
+          Alcotest.(check int64) (name "final weight bits") weight_bits w;
+          Alcotest.(check int) (name "repacked") (if cold then 246 else 46) rep;
+          Alcotest.(check int)
+            (name "warm-seeded")
+            (if cold then 0 else warm_seeded)
+            ws)
+        [ false; true ])
+    [
+      (1, 298, 4647168156738110608L, 38);
+      (2, 360, 4647741153649088905L, 40);
+      (3, 390, 4649425464966250565L, 40);
+    ]
+
 (* ---------- wire round-trips ---------- *)
 
 let roundtrip_request req =
@@ -287,6 +357,7 @@ let () =
           case "cold repack is pure" cold_repack_is_pure;
           case "no deltas, no repacks" resolve_without_deltas_reuses_everything;
           case "delta validation" delta_validation;
+          case "churn replays pinned, warm and cold" pinned_churn_replays;
         ] );
       ( "wire",
         [
