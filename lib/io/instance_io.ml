@@ -88,6 +88,46 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
+let task_of_fields ~line = function
+  | [ id; first; last; demand; weight ] ->
+      let* id = parse_int "id" id in
+      let* first_edge = parse_int "first_edge" first in
+      let* last_edge = parse_int "last_edge" last in
+      let* demand = parse_quantity "demand" demand in
+      let* weight = parse_float "weight" weight in
+      (try Ok (Task.make ~id ~first_edge ~last_edge ~demand ~weight)
+       with Invalid_argument m -> Error m)
+  | _ -> Error (Printf.sprintf "malformed task line %S" line)
+
+let check_tasks path tasks =
+  let* () =
+    if List.for_all (fun (j : Task.t) -> j.Task.last_edge < Path.num_edges path) tasks
+    then Ok ()
+    else Error "task leaves the path"
+  in
+  (* Ids in increasing order (as generators and [gen] write them) cannot
+     repeat; any other order is checked with a table. *)
+  let rec increasing = function
+    | (a : Task.t) :: ((b : Task.t) :: _ as rest) ->
+        a.Task.id < b.Task.id && increasing rest
+    | _ -> true
+  in
+  let unique tasks =
+    let seen = Hashtbl.create 64 in
+    let rec go = function
+      | [] -> Ok ()
+      | (j : Task.t) :: rest ->
+          if Hashtbl.mem seen j.Task.id then
+            Error (Printf.sprintf "duplicate task id %d" j.Task.id)
+          else begin
+            Hashtbl.add seen j.Task.id ();
+            go rest
+          end
+    in
+    go tasks
+  in
+  if increasing tasks then Ok () else unique tasks
+
 let instance_of_lines_as ~header:expected lines =
   match meaningful_lines lines with
   | [] -> Error "empty input"
@@ -112,45 +152,11 @@ let instance_of_lines_as ~header:expected lines =
         with Invalid_argument m -> Error m
       in
       let parse_task line =
-        match words line with
-        | [ "task"; id; first; last; demand; weight ] ->
-            let* id = parse_int "id" id in
-            let* first_edge = parse_int "first_edge" first in
-            let* last_edge = parse_int "last_edge" last in
-            let* demand = parse_quantity "demand" demand in
-            let* weight = parse_float "weight" weight in
-            (try Ok (Task.make ~id ~first_edge ~last_edge ~demand ~weight)
-             with Invalid_argument m -> Error m)
-        | _ -> Error (Printf.sprintf "malformed task line %S" line)
+        task_of_fields ~line
+          (match words line with "task" :: fields -> fields | _ -> [])
       in
       let* tasks = map_result parse_task task_lines in
-      let* () =
-        if List.for_all (fun (j : Task.t) -> j.Task.last_edge < Path.num_edges path) tasks
-        then Ok ()
-        else Error "task leaves the path"
-      in
-      (* Ids in increasing order (as generators and [gen] write them)
-         cannot repeat; any other order is checked with a table. *)
-      let rec increasing = function
-        | (a : Task.t) :: ((b : Task.t) :: _ as rest) ->
-            a.Task.id < b.Task.id && increasing rest
-        | _ -> true
-      in
-      let unique tasks =
-        let seen = Hashtbl.create 64 in
-        let rec go = function
-          | [] -> Ok ()
-          | (j : Task.t) :: rest ->
-              if Hashtbl.mem seen j.Task.id then
-                Error (Printf.sprintf "duplicate task id %d" j.Task.id)
-              else begin
-                Hashtbl.add seen j.Task.id ();
-                go rest
-              end
-        in
-        go tasks
-      in
-      let* () = if increasing tasks then Ok () else unique tasks in
+      let* () = check_tasks path tasks in
       Ok (path, tasks)
 
 let instance_of_lines = instance_of_lines_as ~header:"sap-instance v1"

@@ -40,6 +40,41 @@ val check_quantity : string -> int -> (int, string) result
     error naming [what], [v] and the limit.  Shared with the protocol's
     [add-task]. *)
 
+(** {1 Line and field parsers}
+
+    What every line format here is parsed with, exported so the churn
+    traces of [Lab.Corpus] and the protocol's headers parse their fields
+    with the same code and report the same errors. *)
+
+val meaningful_lines : string list -> string list
+(** The trimmed lines, without blank and [#] comment lines. *)
+
+val words : string -> string list
+(** The space-separated words of a line, without empty ones. *)
+
+val parse_int : string -> string -> (int, string) result
+(** [parse_int what s]: the error names [what] and quotes [s]. *)
+
+val parse_float : string -> string -> (float, string) result
+
+val parse_quantity : string -> string -> (int, string) result
+(** {!parse_int}, then {!check_quantity}: a capacity or a demand. *)
+
+val map_result :
+  ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+(** [f] over the list in order, stopping at the first error. *)
+
+val task_of_fields : line:string -> string list -> (Core.Task.t, string) result
+(** A task from the five fields [id first_edge last_edge demand weight]
+    that follow a task line's keyword.  Any other number of fields is a
+    malformed line, quoted from [line]. *)
+
+val check_tasks : Core.Path.t -> Core.Task.t list -> (unit, string) result
+(** The check every instance's task list passes: each task ends on the
+    path and no id repeats. *)
+
+(** {1 Formats} *)
+
 val instance_to_string : Core.Path.t -> Core.Task.t list -> string
 
 val instance_of_lines :

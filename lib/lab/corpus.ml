@@ -2,6 +2,7 @@ module Task = Core.Task
 module Path = Core.Path
 module Ring = Core.Ring
 module Prng = Util.Prng
+module Io = Sap_io.Instance_io
 
 let version = "sap-corpus v1"
 
@@ -218,10 +219,7 @@ let manifest_to_string t =
 
 let ( let* ) = Result.bind
 
-let meaningful_lines s =
-  String.split_on_char '\n' s
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "" && not (String.length l > 0 && l.[0] = '#'))
+let meaningful_lines s = Io.meaningful_lines (String.split_on_char '\n' s)
 
 let manifest_of_string ~dir s =
   match meaningful_lines s with
@@ -234,7 +232,7 @@ let manifest_of_string ~dir s =
       let* seed, entry_lines =
         match rest with
         | seed_line :: entries -> (
-            match String.split_on_char ' ' seed_line |> List.filter (( <> ) "") with
+            match Io.words seed_line with
             | [ "seed"; s ] -> (
                 match int_of_string_opt s with
                 | Some seed -> Ok (seed, entries)
@@ -243,20 +241,13 @@ let manifest_of_string ~dir s =
         | [] -> Error "missing seed line"
       in
       let parse_entry line =
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        match Io.words line with
         | [ "entry"; file; kind; family ] ->
             let* kind = kind_of_string kind in
             Ok { file; kind; family }
         | _ -> Error (Printf.sprintf "malformed entry line %S" line)
       in
-      let rec map_result f = function
-        | [] -> Ok []
-        | x :: rest ->
-            let* y = f x in
-            let* ys = map_result f rest in
-            Ok (y :: ys)
-      in
-      let* entries = map_result parse_entry entry_lines in
+      let* entries = Io.map_result parse_entry entry_lines in
       Ok { dir; seed; entries }
 
 (* ---------- generation ---------- *)
@@ -283,19 +274,19 @@ let generate_families ~dir ~seed ~variants selected =
             match kind with
             | Path_kind ->
                 let path, tasks = gen_path family prng in
-                Sap_io.Instance_io.instance_to_string path tasks
+                Io.instance_to_string path tasks
             | Ring_kind ->
-                Sap_io.Instance_io.ring_to_string (gen_ring family prng)
+                Io.ring_to_string (gen_ring family prng)
             | Round_kind ->
                 let path, tasks = gen_round family prng in
-                Sap_io.Instance_io.round_instance_to_string path tasks
+                Io.round_instance_to_string path tasks
           in
-          Sap_io.Instance_io.write_file (Filename.concat dir file) contents;
+          Io.write_file (Filename.concat dir file) contents;
           entries := { file; kind; family } :: !entries
         done)
     families;
   let t = { dir; seed; entries = List.rev !entries } in
-  Sap_io.Instance_io.write_file
+  Io.write_file
     (Filename.concat dir manifest_file)
     (manifest_to_string t);
   t
@@ -417,87 +408,54 @@ let churn_to_string c =
     c.churn_events;
   Buffer.contents buf
 
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "expected integer for %s, got %S" what s)
-
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "expected number for %s, got %S" what s)
-
-(* Capacities and demands obey the instance formats' 2^40 limit. *)
-let parse_quantity what s =
-  let* v = parse_int what s in
-  Sap_io.Instance_io.check_quantity what v
-
-let parse_task_fields ~edges = function
-  | [ id; first; last; demand; weight ] ->
-      let* id = parse_int "id" id in
-      let* first_edge = parse_int "first_edge" first in
-      let* last_edge = parse_int "last_edge" last in
-      let* demand = parse_quantity "demand" demand in
-      let* weight = parse_float "weight" weight in
-      let* j =
-        try Ok (Task.make ~id ~first_edge ~last_edge ~demand ~weight)
-        with Invalid_argument m -> Error m
-      in
-      if j.Task.last_edge < edges then Ok j else Error "task leaves the path"
-  | _ -> Error "malformed task fields"
-
+(* Task lines parse as an instance's do, and the base passes the
+   instance task-list check (on the path, ids unique). *)
 let churn_of_string s =
-  let rec map_result f = function
-    | [] -> Ok []
-    | x :: rest ->
-        let* y = f x in
-        let* ys = map_result f rest in
-        Ok (y :: ys)
-  in
   match meaningful_lines s with
   | header :: seed_line :: steps_line :: caps_line :: rest
     when String.trim header = churn_version ->
       let* seed =
-        match String.split_on_char ' ' seed_line |> List.filter (( <> ) "") with
-        | [ "seed"; v ] -> parse_int "seed" v
+        match Io.words seed_line with
+        | [ "seed"; v ] -> Io.parse_int "seed" v
         | _ -> Error (Printf.sprintf "expected seed line, got %S" seed_line)
       in
       let* steps =
-        match String.split_on_char ' ' steps_line |> List.filter (( <> ) "") with
-        | [ "steps"; v ] -> parse_int "steps" v
+        match Io.words steps_line with
+        | [ "steps"; v ] -> Io.parse_int "steps" v
         | _ -> Error (Printf.sprintf "expected steps line, got %S" steps_line)
       in
       let* caps =
-        match String.split_on_char ' ' caps_line |> List.filter (( <> ) "") with
+        match Io.words caps_line with
         | "capacities" :: values when values <> [] ->
-            map_result (parse_quantity "capacity") values
+            Io.map_result (Io.parse_quantity "capacity") values
         | _ -> Error "malformed capacities line"
       in
       let* path =
         try Ok (Path.create (Array.of_list caps))
         with Invalid_argument m -> Error m
       in
-      let edges = Path.num_edges path in
       let parse_line line =
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        match Io.words line with
         | "task" :: fields ->
-            let* j = parse_task_fields ~edges fields in
+            let* j = Io.task_of_fields ~line fields in
             Ok (`Task j)
         | [ "event"; "remove"; id ] ->
-            let* id = parse_int "id" id in
+            let* id = Io.parse_int "id" id in
             Ok (`Event (Churn_remove id))
         | [ "event"; "resize"; id; demand ] ->
-            let* id = parse_int "id" id in
-            let* demand = parse_quantity "demand" demand in
+            let* id = Io.parse_int "id" id in
+            let* demand = Io.parse_quantity "demand" demand in
             let* () = if demand > 0 then Ok () else Error "resize demand must be positive" in
             Ok (`Event (Churn_resize (id, demand)))
         | "event" :: "add" :: fields ->
-            let* j = parse_task_fields ~edges fields in
+            let* j = Io.task_of_fields ~line fields in
+            let* () = Io.check_tasks path [ j ] in
             Ok (`Event (Churn_add j))
         | _ -> Error (Printf.sprintf "malformed churn line %S" line)
       in
-      let* items = map_result parse_line rest in
+      let* items = Io.map_result parse_line rest in
       let base = List.filter_map (function `Task j -> Some j | _ -> None) items in
+      let* () = Io.check_tasks path base in
       let events =
         List.filter_map (function `Event e -> Some e | _ -> None) items
       in
@@ -522,24 +480,24 @@ let churn_of_string s =
 let load ~dir =
   let path = Filename.concat dir manifest_file in
   let* contents =
-    try Ok (Sap_io.Instance_io.read_file path)
+    try Ok (Io.read_file path)
     with Sys_error m -> Error m
   in
   manifest_of_string ~dir contents
 
 let read t entry =
   let* contents =
-    try Ok (Sap_io.Instance_io.read_file (Filename.concat t.dir entry.file))
+    try Ok (Io.read_file (Filename.concat t.dir entry.file))
     with Sys_error m -> Error m
   in
   match entry.kind with
   | Path_kind ->
-      let* path, tasks = Sap_io.Instance_io.instance_of_string contents in
+      let* path, tasks = Io.instance_of_string contents in
       Ok (Path_instance (path, tasks))
   | Ring_kind ->
-      let* r = Sap_io.Instance_io.ring_of_string contents in
+      let* r = Io.ring_of_string contents in
       Ok (Ring_instance r)
   | Round_kind ->
-      let* path, tasks = Sap_io.Instance_io.round_instance_of_string contents in
+      let* path, tasks = Io.round_instance_of_string contents in
       let* inst = Round.Instance.create path tasks in
       Ok (Round_instance inst)

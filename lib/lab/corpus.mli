@@ -120,8 +120,10 @@ val churn_to_string : churn -> string
 
 val churn_of_string : string -> (churn, string) result
 (** Rejects a header mismatch, malformed lines, tasks leaving the path,
-    a capacity or demand above {!Sap_io.Instance_io.max_quantity}, and a
-    [steps] count disagreeing with the event lines. *)
+    a base that repeats a task id, a capacity or demand above
+    {!Sap_io.Instance_io.max_quantity}, and a [steps] count disagreeing
+    with the event lines.  Task fields parse with
+    {!Sap_io.Instance_io.task_of_fields}, as in every instance format. *)
 
 val load : dir:string -> (t, string) result
 (** Parse [dir]'s manifest (instance files are read lazily by {!read}). *)

@@ -144,8 +144,8 @@ let observe h v =
 let time h f =
   if not (Atomic.get on) then f ()
   else begin
-    let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> observe h (Unix.gettimeofday () -. t0)) f
+    let t0 = Clock.monotonic_seconds () in
+    Fun.protect ~finally:(fun () -> observe h (Clock.monotonic_seconds () -. t0)) f
   end
 
 let reset () =

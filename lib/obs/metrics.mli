@@ -55,7 +55,8 @@ val histogram : string -> histogram
 val observe : histogram -> float -> unit
 
 val time : histogram -> (unit -> 'a) -> 'a
-(** [time h f] observes the wall-clock duration of [f ()] in seconds when
+(** [time h f] observes the duration of [f ()] in seconds, on the
+    monotonic clock ({!Clock.monotonic_seconds}) like spans, when
     collection is on; it is exactly [f ()] otherwise. *)
 
 (** {1 Bucket grid}

@@ -271,17 +271,13 @@ let with_id frame id =
 
 let ( let* ) = Result.bind
 
-let tokens line = String.split_on_char ' ' line |> List.filter (( <> ) "")
+(* Headers split into words and their fields parse as instance lines do,
+   with the same error texts. *)
+let tokens = Sap_io.Instance_io.words
 
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "expected integer for %s, got %S" what s)
+let parse_int = Sap_io.Instance_io.parse_int
 
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "expected number for %s, got %S" what s)
+let parse_float = Sap_io.Instance_io.parse_float
 
 (* [key=value] attribute tokens.  Unknown keys are an error: v1 has no
    extension story yet, and silently dropping a mistyped [timout-ms]

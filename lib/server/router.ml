@@ -100,11 +100,12 @@ type config = { vnodes : int; log : (string -> unit) option }
 
 let default_config = { vnodes = 64; log = None }
 
-(* Startup connection attempts per shard, 50 ms apart. *)
-let connect_attempts = 100
+(* [create] waits this many seconds for every shard's first connection;
+   until then each keeper retries [backoff_min] seconds apart. *)
+let startup_budget = 5.0
 
-(* Reconnect/respawn backoff: starts at [backoff_min] seconds and doubles
-   up to [backoff_max]. *)
+(* Reconnect/respawn backoff after a shard's first connection: starts at
+   [backoff_min] seconds and doubles up to [backoff_max]. *)
 let backoff_min = 0.05
 
 let backoff_max = 2.0
@@ -150,22 +151,21 @@ let state_name = function
   | Draining -> "draining"
   | Drained -> "drained"
 
-type conn = {
-  cn_fd : Unix.file_descr;
-  cn_oc : out_channel;
-  cn_reader : unit Domain.t option Atomic.t;
-  cn_joined : bool Atomic.t;
-}
-
+(* One shard and its keeper.  The ring holds exactly the Up shards: every
+   change of state to or from Up updates it under [sh_lock]. *)
 type shard = {
   sh_name : string;
   sh_socket : string;
   sh_spawn : (string -> int) option;
   sh_lock : Mutex.t;
   sh_inflight : (int, entry) Hashtbl.t;  (* guarded by sh_lock *)
+  sh_linked : unit Pool.future;  (* fulfilled by the first link *)
+  mutable sh_keeper : unit Domain.t option;  (* set once by [create] *)
   mutable sh_pid : int option;
   mutable sh_state : state;
-  mutable sh_conn : conn option;
+  mutable sh_link : (Unix.file_descr * out_channel) option;
+      (* Some while Up or Draining; only the keeper closes the fd, after
+         clearing this under sh_lock *)
   mutable sh_requests : int;  (* solves forwarded *)
   mutable sh_errors : int;  (* error/timeout responses relayed *)
   mutable sh_connects : int;
@@ -185,8 +185,6 @@ type t = {
   n_errors : int Atomic.t;
   n_retried : int Atomic.t;
   started : float;
-  aux_lock : Mutex.t;
-  mutable aux : unit Domain.t list;  (* recovery domains, joined at shutdown *)
   sess_lock : Mutex.t;
   sess_owners : (int, string) Hashtbl.t;
       (* session id -> owning shard name; guarded by sess_lock.  Entries
@@ -204,14 +202,9 @@ let shard_by_name t name =
     (fun acc sh -> if String.equal sh.sh_name name then Some sh else acc)
     None t.shards
 
-let remove_from_ring t name =
+let update_ring t f =
   Mutex.lock t.ring_lock;
-  t.ring <- Ring.remove t.ring name;
-  Mutex.unlock t.ring_lock
-
-let add_to_ring t name =
-  Mutex.lock t.ring_lock;
-  t.ring <- Ring.add t.ring name;
+  t.ring <- f t.ring;
   Mutex.unlock t.ring_lock
 
 (* Shard responses are relayed as they arrived, relabelled by
@@ -224,59 +217,49 @@ let fail_entry t entry code message =
   Pool.fulfil entry.e_reply
     (P.response_to_string (P.Failed { id = entry.e_client_id; code; message }))
 
-(* Tear a connection down: wake its reader (EOF), which then runs the
-   single shared death path.  The fd itself is closed by whoever joins
-   the reader. *)
-let kill_conn conn =
-  try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+(* Cut the link: its keeper reads EOF and runs the death path.  Call it
+   only under [sh_lock], so [sh_link] still names the fd and no closed
+   (and perhaps reused) fd number is shut down. *)
+let kill_link sh =
+  match sh.sh_link with
+  | Some (fd, _) -> (
+      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+  | None -> ()
 
-let join_conn conn =
-  if Atomic.compare_and_set conn.cn_joined false true then begin
-    (match Atomic.get conn.cn_reader with
-    | Some d -> ( try Domain.join d with _ -> ())
-    | None -> ());
-    try Unix.close conn.cn_fd with Unix.Unix_error _ -> ()
-  end
-
-let sleep_interruptible t d =
-  let deadline = now () +. d in
-  while (not (Atomic.get t.stopping)) && now () < deadline do
-    Unix.sleepf (Float.min 0.05 (Float.max 0.001 (deadline -. now ())))
-  done
-
-(* ---------- sending, dispatch, death, recovery ---------- *)
+(* ---------- sending, dispatch, death ---------- *)
 
 (* The one way a request reaches a shard: register [entry] in the
    shard's in-flight table under a fresh router-wide id and write the
    request with that id.  Forwards (a ring [e_key]) need the shard Up and
    count in its [requests]; direct sends are also allowed while it is
-   Draining — [drain_shard] marks it so before sending the shutdown
-   frame.  [None]: the shard is not in a state to take it; [Some false]:
-   the write failed, the entry is unregistered and the connection
-   killed. *)
+   Draining — [retire] marks it so before sending the shutdown frame.
+   [None]: the shard is not in a state to take it; [Some false]: the
+   write failed, the entry is unregistered and the link killed. *)
 let send t sh entry =
   let forwarded = entry.e_key <> "" in
-  Mutex.lock sh.sh_lock;
-  match (sh.sh_state, sh.sh_conn) with
-  | (Up | Draining), Some conn when sh.sh_state = Up || not forwarded ->
+  Mutex.protect sh.sh_lock @@ fun () ->
+  match (sh.sh_state, sh.sh_link) with
+  | (Up | Draining), Some (_, oc) when sh.sh_state = Up || not forwarded ->
       let sid = Atomic.fetch_and_add t.seq 1 in
       Hashtbl.replace sh.sh_inflight sid entry;
       let wrote =
         try
-          output_string conn.cn_oc
-            (P.with_id (P.request_to_string entry.e_req) sid);
-          flush conn.cn_oc;
+          output_string oc (P.with_id (P.request_to_string entry.e_req) sid);
+          flush oc;
           true
         with Sys_error _ -> false
       in
-      if not wrote then Hashtbl.remove sh.sh_inflight sid
+      if not wrote then begin
+        Hashtbl.remove sh.sh_inflight sid;
+        kill_link sh
+      end
       else if forwarded then sh.sh_requests <- sh.sh_requests + 1;
-      Mutex.unlock sh.sh_lock;
-      if not wrote then kill_conn conn;
       Some wrote
-  | _ ->
-      Mutex.unlock sh.sh_lock;
-      None
+  | _ -> None
+
+(* Send [req] straight to one shard (bypassing the ring) and complete
+   [reply] with its answer. *)
+let send_direct t sh req reply = send t sh (entry req reply) = Some true
 
 let rec dispatch t entry =
   entry.e_attempts <- entry.e_attempts + 1;
@@ -302,133 +285,48 @@ let rec dispatch t entry =
                 Atomic.incr t.n_retried;
                 dispatch t entry
             | None ->
-                (* Raced with a death or drain; make sure the ring agrees,
-                   pick again.  [e_attempts] bounds the loop. *)
-                remove_from_ring t sh.sh_name;
+                (* Raced with a death or drain, which has already taken
+                   the shard off the ring: pick again.  [e_attempts]
+                   bounds the loop. *)
                 dispatch t entry))
   end
 
-(* Runs exactly once per connection, as the final act of its reader
-   domain: clear the shard, re-home orphaned solves, start recovery. *)
-and conn_dead t sh conn =
+(* The death path, run by the keeper once per link after its EOF: clear
+   the link, re-home orphaned solves (fail the rest) and drop the
+   shard's session pins. *)
+let link_dead t sh =
   Mutex.lock sh.sh_lock;
-  let current = match sh.sh_conn with Some c -> c == conn | None -> false in
-  if not current then Mutex.unlock sh.sh_lock
-  else begin
-    sh.sh_conn <- None;
-    let was = sh.sh_state in
-    sh.sh_state <-
-      (match was with
-      | Draining | Drained -> Drained
-      | Up | Down -> if Atomic.get t.stopping then Drained else Down);
-    let orphans = Hashtbl.fold (fun _ e acc -> e :: acc) sh.sh_inflight [] in
-    Hashtbl.reset sh.sh_inflight;
-    let next = sh.sh_state in
-    Mutex.unlock sh.sh_lock;
-    remove_from_ring t sh.sh_name;
-    (* Sessions die with their shard: drop the pins so follow-up verbs
-       answer [unknown-session] instead of hanging on a dead owner. *)
-    Mutex.protect t.sess_lock (fun () ->
-        Hashtbl.filter_map_inplace
-          (fun _ owner ->
-            if String.equal owner sh.sh_name then None else Some owner)
-          t.sess_owners);
-    logf t
-      (Printf.sprintf "event=shard-%s shard=%s orphans=%d" (state_name next)
-         sh.sh_name (List.length orphans));
-    List.iter
-      (fun e ->
-        if is_solve e then begin
-          Obs.Metrics.incr c_retries;
-          Atomic.incr t.n_retried;
-          dispatch t e
-        end
-        else fail_entry t e P.Internal ("router: shard " ^ sh.sh_name ^ " lost"))
-      orphans;
-    if next = Down then start_recovery t sh conn
-  end
-
-and start_recovery t sh old_conn =
-  let dom = Domain.spawn (fun () -> recover t sh old_conn) in
-  Mutex.lock t.aux_lock;
-  t.aux <- dom :: t.aux;
-  Mutex.unlock t.aux_lock
-
-and recover t sh old_conn =
-  join_conn old_conn;
-  let backoff = ref backoff_min in
-  let rec attempt () =
-    if not (Atomic.get t.stopping) then begin
-      sleep_interruptible t !backoff;
-      if not (Atomic.get t.stopping) then begin
-        (match sh.sh_spawn with
-        | Some spawn ->
-            let alive =
-              match sh.sh_pid with
-              | Some pid -> (
-                  match Unix.waitpid [ Unix.WNOHANG ] pid with
-                  | 0, _ -> true
-                  | _ -> false
-                  | exception Unix.Unix_error _ -> false)
-              | None -> false
-            in
-            if not alive then begin
-              let pid = spawn sh.sh_socket in
-              Mutex.lock sh.sh_lock;
-              sh.sh_pid <- Some pid;
-              sh.sh_respawns <- sh.sh_respawns + 1;
-              Mutex.unlock sh.sh_lock;
-              Obs.Metrics.incr c_respawns;
-              logf t
-                (Printf.sprintf "event=shard-respawn shard=%s pid=%d"
-                   sh.sh_name pid)
-            end
-        | None -> ());
-        if not (try_connect t sh) then begin
-          backoff := Float.min (!backoff *. 2.0) backoff_max;
-          attempt ()
-        end
+  sh.sh_link <- None;
+  sh.sh_state <-
+    (match sh.sh_state with
+    | Draining | Drained -> Drained
+    | Up | Down -> if Atomic.get t.stopping then Drained else Down);
+  update_ring t (fun r -> Ring.remove r sh.sh_name);
+  let orphans = Hashtbl.fold (fun _ e acc -> e :: acc) sh.sh_inflight [] in
+  Hashtbl.reset sh.sh_inflight;
+  let next = sh.sh_state in
+  Mutex.unlock sh.sh_lock;
+  (* Sessions die with their shard: drop the pins so follow-up verbs
+     answer [unknown-session] instead of hanging on a dead owner. *)
+  Mutex.protect t.sess_lock (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun _ owner -> if String.equal owner sh.sh_name then None else Some owner)
+        t.sess_owners);
+  logf t
+    (Printf.sprintf "event=shard-%s shard=%s orphans=%d" (state_name next)
+       sh.sh_name (List.length orphans));
+  List.iter
+    (fun e ->
+      if is_solve e then begin
+        Obs.Metrics.incr c_retries;
+        Atomic.incr t.n_retried;
+        dispatch t e
       end
-    end
-  in
-  attempt ()
+      else fail_entry t e P.Internal ("router: shard " ^ sh.sh_name ^ " lost"))
+    orphans
 
-and try_connect t sh =
-  match Client.connect_unix sh.sh_socket with
-  | Error _ -> false
-  | Ok fd ->
-      (* Respawned shard children must not inherit this connection: a
-         leaked copy would keep the shard's session open after we close
-         ours, hiding our EOF (and theirs from us). *)
-      Unix.set_close_on_exec fd;
-      let conn =
-        {
-          cn_fd = fd;
-          cn_oc = Unix.out_channel_of_descr fd;
-          cn_reader = Atomic.make None;
-          cn_joined = Atomic.make false;
-        }
-      in
-      (* Install before spawning the reader, so an instant EOF still finds
-         [sh_conn == conn] and runs the death path. *)
-      Mutex.lock sh.sh_lock;
-      sh.sh_conn <- Some conn;
-      sh.sh_state <- Up;
-      sh.sh_connects <- sh.sh_connects + 1;
-      Mutex.unlock sh.sh_lock;
-      let reader = Domain.spawn (fun () -> reader_loop t sh conn fd) in
-      Atomic.set conn.cn_reader (Some reader);
-      add_to_ring t sh.sh_name;
-      logf t (Printf.sprintf "event=shard-up shard=%s" sh.sh_name);
-      true
-
-and reader_loop t sh conn fd =
-  (* Wait until the spawner has recorded us, so [join_conn] can always
-     find the reader to join. *)
-  while Atomic.get conn.cn_reader = None do
-    Domain.cpu_relax ()
-  done;
-  let ic = Unix.in_channel_of_descr fd in
+(* Relay the shard's response frames to their entries until EOF. *)
+let relay t sh ic =
   let read_line () =
     try Some (input_line ic) with End_of_file | Sys_error _ -> None
   in
@@ -474,12 +372,95 @@ and reader_loop t sh conn fd =
                   (P.with_id (frame_text lines) e.e_client_id)));
         loop ()
   in
-  (try loop () with _ -> ());
-  conn_dead t sh conn
+  try loop () with _ -> ()
 
-(* Send [req] straight to one shard (bypassing the ring) and complete
-   [reply] with its answer. *)
-let send_direct t sh req reply = send t sh (entry req reply) = Some true
+(* ---------- the keeper: one domain per shard ---------- *)
+
+(* Make a fresh connection the shard's link — only while the router runs
+   and the shard is Down.  A keeper that connects while its shard is
+   being retired must not revive it: it closes the fd and exits, or
+   [retire]'s join would wait on it. *)
+let install t sh fd =
+  Mutex.lock sh.sh_lock;
+  let ok = (not (Atomic.get t.stopping)) && sh.sh_state = Down in
+  if ok then begin
+    sh.sh_link <- Some (fd, Unix.out_channel_of_descr fd);
+    sh.sh_state <- Up;
+    sh.sh_connects <- sh.sh_connects + 1;
+    update_ring t (fun r -> Ring.add r sh.sh_name)
+  end;
+  Mutex.unlock sh.sh_lock;
+  if ok then begin
+    logf t (Printf.sprintf "event=shard-up shard=%s" sh.sh_name);
+    Pool.fulfil sh.sh_linked ()
+  end;
+  ok
+
+let respawn_if_exited t sh =
+  match sh.sh_spawn with
+  | None -> ()
+  | Some spawn -> (
+      let alive =
+        match sh.sh_pid with
+        | Some pid -> (
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ -> true
+            | _ -> false
+            | exception Unix.Unix_error _ -> false)
+        | None -> false
+      in
+      if not alive then
+        match spawn sh.sh_socket with
+        | exception Unix.Unix_error _ -> ()
+        | pid ->
+            Mutex.protect sh.sh_lock (fun () ->
+                sh.sh_pid <- Some pid;
+                sh.sh_respawns <- sh.sh_respawns + 1);
+            Obs.Metrics.incr c_respawns;
+            logf t
+              (Printf.sprintf "event=shard-respawn shard=%s pid=%d" sh.sh_name pid))
+
+(* A shard's whole life, until the router stops or the shard is retired:
+   connect, install the link, relay replies until EOF, run the death
+   path, close the fd, and connect again.  Before the first link it
+   retries every [backoff_min] seconds and never respawns; after it,
+   each attempt first respawns a spawned child whose process has exited,
+   and failures back off from [backoff_min] doubling to [backoff_max]. *)
+let keeper t sh =
+  let keeping () =
+    (not (Atomic.get t.stopping))
+    && Mutex.protect sh.sh_lock (fun () -> sh.sh_state = Down)
+  in
+  (* Sleep [d] seconds, cut short when the keeper is to stop. *)
+  let pause d =
+    let deadline = now () +. d in
+    while keeping () && now () < deadline do
+      Unix.sleepf (Float.min 0.05 (Float.max 0.001 (deadline -. now ())))
+    done
+  in
+  let rec attempt ~linked delay =
+    pause delay;
+    if keeping () then begin
+      if linked then respawn_if_exited t sh;
+      match Client.connect_unix sh.sh_socket with
+      | Error _ ->
+          attempt ~linked
+            (if linked then Float.min (delay *. 2.0) backoff_max else backoff_min)
+      | Ok fd ->
+          (* Respawned shard children must not inherit this connection: a
+             leaked copy would keep the shard's session open after we
+             close ours, hiding our EOF (and theirs from us). *)
+          Unix.set_close_on_exec fd;
+          let installed = install t sh fd in
+          if installed then begin
+            relay t sh (Unix.in_channel_of_descr fd);
+            link_dead t sh
+          end;
+          Unix.close fd;
+          if installed then attempt ~linked:true backoff_min
+    end
+  in
+  attempt ~linked:false 0.0
 
 (* ---------- lifecycle ---------- *)
 
@@ -490,9 +471,11 @@ let mk_shard ep =
     sh_spawn = ep.ep_spawn;
     sh_lock = Mutex.create ();
     sh_inflight = Hashtbl.create 64;
+    sh_linked = Pool.promise ();
+    sh_keeper = None;
     sh_pid = None;
     sh_state = Down;
-    sh_conn = None;
+    sh_link = None;
     sh_requests = 0;
     sh_errors = 0;
     sh_connects = 0;
@@ -500,57 +483,53 @@ let mk_shard ep =
     sh_latency = Obs.Metrics.empty_summary;
   }
 
-let reap_child sh =
+(* Take a shard out for good.  Up turns Draining (off the ring) and Down
+   turns Drained, so the keeper stops after its current link.  Graceful
+   (an Up shard only): the shard answers everything it admitted, acks a
+   [shutdown] frame and exits.  Then the link is cut, the keeper joined
+   (its death path logs [shard-drained]) and a spawned child reaped —
+   terminated first unless it acked. *)
+let retire t sh ~graceful =
+  let was_up =
+    Mutex.protect sh.sh_lock (fun () ->
+        match sh.sh_state with
+        | Up ->
+            sh.sh_state <- Draining;
+            update_ring t (fun r -> Ring.remove r sh.sh_name);
+            true
+        | Down ->
+            sh.sh_state <- Drained;
+            false
+        | Draining | Drained -> false)
+  in
+  let acked =
+    graceful && was_up
+    &&
+    let fut = Pool.promise () in
+    send_direct t sh (P.Shutdown { id = 0 }) fut
+    &&
+    match P.response_of_string ~tasks_for:(fun _ -> None) (Pool.await fut) with
+    | Ok (P.Ack _) -> true
+    | _ -> false
+  in
+  Mutex.protect sh.sh_lock (fun () -> kill_link sh);
+  Option.iter (fun d -> try Domain.join d with _ -> ()) sh.sh_keeper;
   match sh.sh_pid with
   | None -> ()
   | Some pid ->
+      if not acked then (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      sh.sh_pid <- None
-
-let retire t sh =
-  remove_from_ring t sh.sh_name;
-  Mutex.lock sh.sh_lock;
-  let conn = sh.sh_conn and state = sh.sh_state in
-  Mutex.unlock sh.sh_lock;
-  (match (conn, state) with
-  | Some c, (Up | Draining) ->
-      if sh.sh_spawn <> None then begin
-        (* Graceful: the shard answers everything it admitted, acks, and
-           exits; the EOF runs the shared death path (stopping is set, so
-           no recovery starts). *)
-        let fut = Pool.promise () in
-        if send_direct t sh (P.Shutdown { id = 0 }) fut then
-          ignore (Pool.await fut)
-      end
-      else kill_conn c;
-      join_conn c
-  | Some c, _ ->
-      kill_conn c;
-      join_conn c
-  | None, _ -> (
-      (* A spawned child we never connected to (failed create) or that is
-         mid-recovery: terminate it directly. *)
-      match (sh.sh_spawn, sh.sh_pid) with
-      | Some _, Some pid -> (
-          try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-      | _ -> ()));
-  Mutex.lock sh.sh_lock;
-  reap_child sh;
-  Mutex.unlock sh.sh_lock;
-  logf t (Printf.sprintf "event=shard-retired shard=%s" sh.sh_name)
+      Mutex.protect sh.sh_lock (fun () -> sh.sh_pid <- None)
 
 let shutdown t =
   Atomic.set t.stopping true;
   if Atomic.compare_and_set t.shut_done false true then begin
     logf t "event=router-shutdown";
-    (* Recovery domains first: they check [stopping] and exit, and none
-       may re-add a shard to the ring while we retire the fleet. *)
-    Mutex.lock t.aux_lock;
-    let doms = t.aux in
-    t.aux <- [];
-    Mutex.unlock t.aux_lock;
-    List.iter (fun d -> try Domain.join d with _ -> ()) doms;
-    Array.iter (fun sh -> retire t sh) t.shards
+    Array.iter
+      (fun sh ->
+        retire t sh ~graceful:(sh.sh_spawn <> None);
+        logf t (Printf.sprintf "event=shard-retired shard=%s" sh.sh_name))
+      t.shards
   end
 
 let create ?(config = default_config) endpoints =
@@ -572,72 +551,48 @@ let create ?(config = default_config) endpoints =
         n_errors = Atomic.make 0;
         n_retried = Atomic.make 0;
         started = now ();
-        aux_lock = Mutex.create ();
-        aux = [];
         sess_lock = Mutex.create ();
         sess_owners = Hashtbl.create 16;
       }
     in
     Array.iter
       (fun sh ->
-        match sh.sh_spawn with
-        | Some spawn ->
+        Option.iter
+          (fun spawn ->
             let pid = spawn sh.sh_socket in
             sh.sh_pid <- Some pid;
             logf t
-              (Printf.sprintf "event=shard-spawn shard=%s pid=%d" sh.sh_name pid)
-        | None -> ())
+              (Printf.sprintf "event=shard-spawn shard=%s pid=%d" sh.sh_name pid))
+          sh.sh_spawn)
       t.shards;
-    let connected =
-      Array.for_all
-        (fun sh ->
-          let rec go n =
-            if try_connect t sh then true
-            else if n <= 1 then false
-            else begin
-              Unix.sleepf 0.05;
-              go (n - 1)
-            end
-          in
-          go connect_attempts)
-        t.shards
+    Array.iter
+      (fun sh -> sh.sh_keeper <- Some (Domain.spawn (fun () -> keeper t sh)))
+      t.shards;
+    let deadline = now () +. startup_budget in
+    let missing =
+      Array.to_list t.shards
+      |> List.filter (fun sh -> Pool.await_until sh.sh_linked ~deadline = None)
     in
-    if connected then Ok t
+    if missing = [] then Ok t
     else begin
-      let missing =
-        Array.to_list t.shards
-        |> List.filter (fun sh -> sh.sh_state <> Up)
-        |> List.map (fun sh -> sh.sh_name)
-      in
       shutdown t;
       Error
         (Printf.sprintf "router: could not reach shard(s): %s"
-           (String.concat ", " missing))
+           (String.concat ", " (List.map (fun sh -> sh.sh_name) missing)))
     end
   end
 
 let drain_shard t name =
   match shard_by_name t name with
   | None -> Error ("router: unknown shard " ^ name)
-  | Some sh -> (
-      remove_from_ring t name;
-      Mutex.lock sh.sh_lock;
-      let was_up = sh.sh_state = Up in
-      if was_up then sh.sh_state <- Draining;
-      let conn = sh.sh_conn in
-      Mutex.unlock sh.sh_lock;
-      match (was_up, conn) with
-      | true, Some c ->
-          logf t (Printf.sprintf "event=shard-drain shard=%s" name);
-          let fut = Pool.promise () in
-          if send_direct t sh (P.Shutdown { id = 0 }) fut then
-            ignore (Pool.await fut);
-          join_conn c;
-          Mutex.lock sh.sh_lock;
-          reap_child sh;
-          Mutex.unlock sh.sh_lock;
-          Ok ()
-      | _ -> Error ("router: shard " ^ name ^ " is not up"))
+  | Some sh ->
+      if Mutex.protect sh.sh_lock (fun () -> sh.sh_state <> Up) then
+        Error ("router: shard " ^ name ^ " is not up")
+      else begin
+        logf t (Printf.sprintf "event=shard-drain shard=%s" name);
+        retire t sh ~graceful:true;
+        Ok ()
+      end
 
 (* ---------- stats ---------- *)
 
@@ -714,8 +669,6 @@ let owner_for t ~key =
   let o = Ring.owner t.ring key in
   Mutex.unlock t.ring_lock;
   o
-
-let draining t = Atomic.get t.stopping
 
 (* ---------- client sessions ---------- *)
 

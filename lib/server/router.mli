@@ -4,11 +4,11 @@
     single [serve] process, so clients (and [sap_cli loadgen]) need not
     know they are talking to a fleet.  Each [solve] request is hashed on
     its {!Fingerprint.solve_key} and forwarded to the owning shard over a
-    per-shard pipelined Unix-socket connection with a dedicated reader
-    domain — so repeat instances always land on the shard whose LRU cache
-    already holds them (cache affinity is the scaling win, not just core
-    count).  Responses are relayed back preserving per-client FIFO order,
-    with only the header id rewritten; bodies pass through verbatim.
+    per-shard pipelined Unix-socket connection — so repeat instances
+    always land on the shard whose LRU cache already holds them (cache
+    affinity is the scaling win, not just core count).  Responses are
+    relayed back preserving per-client FIFO order, with only the header
+    id rewritten; bodies pass through verbatim.
 
     Session verbs pin by sid: a [session-open] routes by instance
     fingerprint like a solve, and the sid the shard mints (globally
@@ -22,16 +22,18 @@
     Shard lifecycle lives here.  Shards are either {e spawned} (the
     router forks a child per endpoint via [ep_spawn], shuts it down
     gracefully and reaps it) or {e external} (pre-started sockets the
-    router connects to but never terminates).  A shard whose connection
-    dies is removed from the hash ring; its in-flight requests are
-    re-homed to surviving shards (solves are pure, so a retry is safe)
-    and a recovery domain reconnects — respawning a spawned child whose
-    process exited — under backoff doubling from 50 ms to 2 s.  An
-    accepted request is therefore answered exactly once: re-homed, or
-    failed with an [error] response when no shard remains; never
-    silently dropped.  {!drain_shard} is the
-    planned-maintenance variant: the shard leaves the ring, finishes its
-    in-flight work, acknowledges a [shutdown] frame, and stays out.
+    router connects to but never terminates).  Each shard has one
+    {e keeper} domain for the router's whole life: it connects, relays
+    the shard's replies until the connection dies, and then reconnects —
+    respawning a spawned child whose process exited — under backoff
+    doubling from 50 ms to 2 s.  A shard whose connection dies is removed
+    from the hash ring and its in-flight requests are re-homed to
+    surviving shards (solves are pure, so a retry is safe).  An accepted
+    request is therefore answered exactly once: re-homed, or failed with
+    an [error] response when no shard remains; never silently dropped.
+    {!drain_shard} is the planned-maintenance variant: the shard leaves
+    the ring, finishes its in-flight work, acknowledges a [shutdown]
+    frame, and stays out.
 
     The [stats] verb answers with [sap-router-stats v1] (see
     docs/FORMAT.md): ring membership, totals, and per-shard state /
@@ -80,23 +82,18 @@ type config = {
 }
 
 val default_config : config
-(** [vnodes = 64; log = None].  The lifecycle timings are constants: 100
-    startup connection attempts per shard, 50 ms apart; reconnect and
-    respawn backoff doubling from 50 ms to 2 s; 5 re-homing attempts per
-    request before it is answered with [error]. *)
+(** [vnodes = 64; log = None].  The lifecycle timings are constants: a
+    5 s startup budget for every shard's first connection, attempts 50 ms
+    apart; reconnect and respawn backoff doubling from 50 ms to 2 s; 5
+    re-homing attempts per request before it is answered with [error]. *)
 
 type t
 
 val create : ?config:config -> endpoint list -> (t, string) result
-(** Spawn (where applicable) and connect every shard.  [Error] — with
-    every spawned child cleaned up — if the endpoint list is empty, a
-    name repeats, or some shard never accepts within its 100 startup
-    connection attempts. *)
-
-val handle_session : t -> in_channel -> out_channel -> unit
-(** Serve one client connection to completion: the router's handler on
-    {!Transport.serve_frames} (FIFO responses, bad frames answered under
-    id [-1]); a [shutdown] frame drains the whole router. *)
+(** Spawn (where applicable) every shard and start its keeper, then wait
+    for every shard's first connection.  [Error] — with every spawned
+    child cleaned up — if the endpoint list is empty, a name repeats, or
+    some shard never accepts within the 5 s startup budget. *)
 
 val serve :
   ?on_bound:(string -> unit) ->
@@ -104,9 +101,11 @@ val serve :
   t ->
   socket_path:string ->
   unit
-(** Accept clients on a front socket ({!Transport.serve_unix_sessions}
-    with {!handle_session}) until [request_stop] or a client [shutdown]
-    frame.  Does {e not} call {!shutdown}; the caller decides when to
+(** Accept clients on a front socket ({!Transport.serve_unix_sessions})
+    until [request_stop] or a client [shutdown] frame.  Each client
+    connection runs on {!Transport.serve_frames} (FIFO responses, bad
+    frames answered under id [-1]); a [shutdown] frame drains the whole
+    router.  Does {e not} call {!shutdown}; the caller decides when to
     tear the fleet down. *)
 
 val drain_shard : t -> string -> (unit, string) result
@@ -119,12 +118,10 @@ val owner_for : t -> key:string -> string option
 (** Current ring owner for a raw key (what a [solve] with this
     fingerprint would hash to).  Exposed for benches and tests. *)
 
-val draining : t -> bool
-
 val stats_json : t -> Obs.Json.t
 (** The [sap-router-stats v1] report. *)
 
 val shutdown : t -> unit
 (** Stop routing: mark the router draining, gracefully [shutdown] every
     spawned shard (await ack, reap), close external connections, and
-    join all reader/recovery domains.  Idempotent. *)
+    join every shard's keeper.  Idempotent. *)

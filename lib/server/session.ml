@@ -34,8 +34,6 @@ type t = {
   s_seed : int;
   s_tasks : (int, Task.t) Hashtbl.t;
   s_bands : (int, band) Hashtbl.t;
-  mutable s_last : Core.Solution.sap;
-  mutable s_resolves : int;
 }
 
 type summary = {
@@ -49,13 +47,7 @@ type summary = {
   time_ms : float;
 }
 
-let path t = t.s_path
-
 let tasks t = Hashtbl.fold (fun _ j acc -> j :: acc) t.s_tasks []
-
-let n_tasks t = Hashtbl.length t.s_tasks
-
-let last_solution t = t.s_last
 
 (* Tasks that cannot fit alone ([d_j > b(j)]) belong to no band: they can
    never be scheduled, exactly like [Small.strip_pack]'s input filter. *)
@@ -167,13 +159,11 @@ let resolve ?(cold = false) t =
   match Core.Checker.sap_feasible t.s_path merged with
   | Error m -> Error ("session produced an infeasible solution: " ^ m)
   | Ok () ->
-      t.s_last <- merged;
-      t.s_resolves <- t.s_resolves + 1;
       let time_ms = (Obs.Clock.monotonic_seconds () -. t0) *. 1000.0 in
       Ok
         ( merged,
           {
-            n_tasks = n_tasks t;
+            n_tasks = Hashtbl.length t.s_tasks;
             scheduled = List.length merged;
             weight = Core.Solution.sap_weight merged;
             bands = List.length bands;
@@ -190,8 +180,6 @@ let create ?(seed = Sap.Combine.default_config.Sap.Combine.seed) path ts =
       s_seed = seed;
       s_tasks = Hashtbl.create 64;
       s_bands = Hashtbl.create 8;
-      s_last = [];
-      s_resolves = 0;
     }
   in
   let rec add = function

@@ -64,15 +64,8 @@ val resolve : ?cold:bool -> t -> (Core.Solution.sap * summary, string) result
     bench and the CI smoke compare against.  Either way the merged
     solution is checker-verified before being returned. *)
 
-val path : t -> Core.Path.t
-
 val tasks : t -> Core.Task.t list
 (** Current instance tasks, unordered. *)
-
-val n_tasks : t -> int
-
-val last_solution : t -> Core.Solution.sap
-(** The most recent {!resolve} result ([[]] before the first). *)
 
 val close : t -> unit
 (** Count the session closed; the value itself is garbage-collected. *)

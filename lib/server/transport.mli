@@ -21,7 +21,7 @@ val serve_frames :
   in_channel -> out_channel -> (Protocol.request -> unit -> string) -> unit
 (** [serve_frames ic oc handle] is the request-frame loop of every
     connection, to a server ({!serve_channels}) or to a router
-    ({!Router.handle_session}).  Each parsed request is admitted with
+    ({!Router.serve}).  Each parsed request is admitted with
     [handle req] on the reading domain; the returned thunk is forced on
     the pump's writer domain and must produce the full response frame.
     A frame that does not parse is answered with [bad-request] and

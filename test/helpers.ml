@@ -12,6 +12,20 @@ let assert_feasible_sap path sol = check_ok "sap feasible" (Core.Checker.sap_fea
 
 let assert_feasible_ufpp path ts = check_ok "ufpp feasible" (Core.Checker.ufpp_feasible path ts)
 
+(* The sap_cli binary, a dependency of the test rule.  dune runtest runs
+   with cwd = _build/default/test; dune exec from the workspace root.
+   Probe both locations. *)
+let cli =
+  let candidates =
+    [
+      Filename.concat (Filename.concat ".." "bin") "sap_cli.exe";
+      Filename.concat (Filename.concat "_build/default" "bin") "sap_cli.exe";
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> List.hd candidates
+
 (* Deterministic small instance families, indexed by an integer seed. *)
 
 let random_path prng =

@@ -3,18 +3,7 @@
    binary as a dependency, so it is available at ../bin/sap_cli.exe
    relative to the test's working directory. *)
 
-(* dune runtest runs with cwd = _build/default/test; dune exec from the
-   workspace root.  Probe both locations. *)
-let cli =
-  let candidates =
-    [
-      Filename.concat (Filename.concat ".." "bin") "sap_cli.exe";
-      Filename.concat (Filename.concat "_build/default" "bin") "sap_cli.exe";
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> List.hd candidates
+let cli = Helpers.cli
 
 let case = Helpers.case
 

@@ -252,6 +252,20 @@ let churn_quantity_limit () =
       ("resize demand", trace (Printf.sprintf "event resize 0 %d" (lim + 1)));
     ]
 
+(* A churn base passes the instance task-list check: a base that repeats
+   a task id fails to parse (so `session --churn` exits 2 before it
+   connects) rather than failing the replay's session-open. *)
+let churn_base_checked () =
+  let trace base =
+    "sap-churn v1\nseed 1\nsteps 1\ncapacities 8 8\n" ^ base ^ "event remove 0\n"
+  in
+  (match Lab.Corpus.churn_of_string (trace "task 0 0 1 2 1.5\ntask 1 0 0 3 1\n") with
+  | Ok c -> Alcotest.(check int) "two base tasks" 2 (List.length c.Lab.Corpus.churn_base)
+  | Error m -> Alcotest.failf "distinct ids rejected: %s" m);
+  match Lab.Corpus.churn_of_string (trace "task 0 0 1 2 1.5\ntask 0 0 0 3 1\n") with
+  | Ok _ -> Alcotest.fail "a repeated base id parsed"
+  | Error m -> Alcotest.(check string) "the instance check's error" "duplicate task id 0" m
+
 (* ---------- the ratio pipeline ---------- *)
 
 let ratio_run_respects_bounds () =
@@ -887,6 +901,7 @@ let run () =
           case "round trip" corpus_roundtrip;
           case "deterministic" corpus_deterministic;
           case "churn traces obey the 2^40 limit" churn_quantity_limit;
+          case "a churn base repeating an id is rejected" churn_base_checked;
         ] );
       ( "ratio",
         [

@@ -1,6 +1,7 @@
 (* Consistent-hash router: ring properties, end-to-end fan-out over
-   in-process shards, drain under load, and the completion-flush
-   regression (a quiet connection must still receive its tail). *)
+   in-process shards, drain under load, the completion-flush regression
+   (a quiet connection must still receive its tail), and a spawned shard
+   killed mid-batch. *)
 
 module Proto = Sap_server.Protocol
 module Server = Sap_server.Server
@@ -126,10 +127,39 @@ let start_shard ~dir ~name =
   wait 500;
   (socket_path, srv, stop, dom)
 
-let start_fleet ?(shards = 3) () =
+let temp_dir () =
   let dir = Filename.temp_file "sap_router" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
+  dir
+
+let remove_dir dir =
+  (try
+     Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f))
+   with Sys_error _ -> ());
+  try Sys.rmdir dir with Sys_error _ -> ()
+
+(* Serve [router] on DIR/front.sock from a fresh domain, once bound. *)
+let serve_front ~dir router =
+  let front = Filename.concat dir "front.sock" in
+  let stop = Transport.stopper () in
+  let bound = Atomic.make false in
+  let dom =
+    Domain.spawn (fun () ->
+        Router.serve
+          ~on_bound:(fun _ -> Atomic.set bound true)
+          ~stop router ~socket_path:front)
+  in
+  let rec wait n =
+    if not (Atomic.get bound) then
+      if n = 0 then Alcotest.fail "front never bound"
+      else (Unix.sleepf 0.01; wait (n - 1))
+  in
+  wait 500;
+  (front, stop, dom)
+
+let start_fleet ?(shards = 3) () =
+  let dir = temp_dir () in
   let started =
     List.init shards (fun i ->
         let name = Printf.sprintf "shard-%d" i in
@@ -146,21 +176,7 @@ let start_fleet ?(shards = 3) () =
     | Ok r -> r
     | Error m -> Alcotest.failf "router create: %s" m
   in
-  let front = Filename.concat dir "front.sock" in
-  let front_stop = Transport.stopper () in
-  let front_bound = Atomic.make false in
-  let front_dom =
-    Domain.spawn (fun () ->
-        Router.serve
-          ~on_bound:(fun _ -> Atomic.set front_bound true)
-          ~stop:front_stop router ~socket_path:front)
-  in
-  let rec wait n =
-    if not (Atomic.get front_bound) then
-      if n = 0 then Alcotest.fail "front never bound"
-      else (Unix.sleepf 0.01; wait (n - 1))
-  in
-  wait 500;
+  let front, front_stop, front_dom = serve_front ~dir router in
   {
     fl_dir = dir;
     fl_router = router;
@@ -176,18 +192,14 @@ let stop_fleet fl =
   List.iter Domain.join fl.fl_doms;
   List.iter Transport.close_stopper fl.fl_stops;
   List.iter Server.drain fl.fl_servers;
-  (try
-     Sys.readdir fl.fl_dir
-     |> Array.iter (fun f -> Sys.remove (Filename.concat fl.fl_dir f))
-   with Sys_error _ -> ());
-  try Sys.rmdir fl.fl_dir with Sys_error _ -> ()
+  remove_dir fl.fl_dir
 
 let with_fleet ?shards f =
   let fl = start_fleet ?shards () in
   Fun.protect ~finally:(fun () -> stop_fleet fl) @@ fun () -> f fl
 
-let batch_through_front fl instances =
-  match Client.connect_unix fl.fl_front with
+let batch_through_front ?(params = default_params) front instances =
+  match Client.connect_unix front with
   | Error m -> Alcotest.failf "connect front: %s" m
   | Ok fd ->
       Fun.protect
@@ -195,7 +207,7 @@ let batch_through_front fl instances =
         (fun () ->
           let ic = Unix.in_channel_of_descr fd in
           let oc = Unix.out_channel_of_descr fd in
-          Client.run_batch ~ic ~oc ~params:default_params instances)
+          Client.run_batch ~ic ~oc ~params instances)
 
 let assert_all_solved instances (result : Client.batch_result) =
   Alcotest.(check (list string)) "no transport errors" []
@@ -213,7 +225,7 @@ let router_end_to_end () =
   with_fleet @@ fun fl ->
   let instances = List.init 12 (fun i -> Helpers.tiny_instance (500 + (13 * i))) in
   (* Every instance solved and feasible through the front socket. *)
-  assert_all_solved instances (batch_through_front fl instances);
+  assert_all_solved instances (batch_through_front fl.fl_front instances);
   (* Keys spread across members, and owner_for is ring-consistent. *)
   let owners =
     List.map
@@ -232,7 +244,7 @@ let router_end_to_end () =
   Obs.Metrics.enable ();
   let hits () = Obs.Metrics.counter_value (Obs.Metrics.counter "server.cache.hits") in
   let before = hits () in
-  assert_all_solved instances (batch_through_front fl instances);
+  assert_all_solved instances (batch_through_front fl.fl_front instances);
   let after = hits () in
   Alcotest.(check bool)
     (Printf.sprintf "repeat batch is cached (%d -> %d)" before after)
@@ -282,7 +294,7 @@ let drain_under_load_loses_nothing () =
   (* Concurrent batches while a shard drains: every request answered. *)
   let worker =
     Domain.spawn (fun () ->
-        List.init 3 (fun _ -> batch_through_front fl instances))
+        List.init 3 (fun _ -> batch_through_front fl.fl_front instances))
   in
   Unix.sleepf 0.02;
   (match Router.drain_shard fl.fl_router "shard-1" with
@@ -298,7 +310,7 @@ let drain_under_load_loses_nothing () =
       | _ -> ())
     (keys 100);
   (* And a fresh batch still fully succeeds on the survivors. *)
-  assert_all_solved instances (batch_through_front fl instances)
+  assert_all_solved instances (batch_through_front fl.fl_front instances)
 
 (* Every other verb family through the front socket on one connection:
    round-solve and session-open are forwarded by fingerprint, the
@@ -450,6 +462,153 @@ let router_relays_errors_verbatim () =
   | Ok resp -> Alcotest.failf "unexpected %s" (Proto.response_to_string resp)
   | Error m -> Alcotest.failf "bad response: %s" m
 
+(* ---------- a spawned shard killed mid-batch ---------- *)
+
+(* `gen --profile valley --tasks 14` instances (12 edges, capacities 32
+   down to 8).  The seeds are those in 1–300 whose exact solve took 5–20
+   ms in one process on a 2-vCPU VM (1,426–8,147 search nodes); other
+   seeds run up to 47 s. *)
+let moderate_valley_seeds =
+  [ 4; 11; 13; 28; 29; 35; 39; 44; 52; 55; 68; 71; 72; 73; 74; 77; 78; 79;
+    83; 85; 95; 96; 99; 105; 115; 128; 131; 136; 145; 146; 150; 154; 155;
+    157; 160; 165; 169; 171; 175; 178; 187; 192; 212; 214; 217; 224; 227;
+    229; 230; 234; 235; 244; 245; 261; 265; 268; 270; 274; 275; 276; 279;
+    281; 295; 298; 299 ]
+
+let valley_instance seed =
+  let prng = Util.Prng.create seed in
+  let path = Gen.Profiles.valley ~edges:12 ~high:32 ~low:8 in
+  (path, Gen.Workloads.mixed_tasks ~prng ~path ~n:14 ())
+
+(* Two `sap_cli serve --workers 1` children behind the router; 32 exact
+   solves, all owned by shard-1, are pipelined through the front and
+   shard-1 is SIGKILLed 150 ms in.  Every request must still be solved
+   (the orphans re-homed onto shard-0), the keeper must respawn shard-1
+   and bring it back up, and a repeat batch must be solved too. *)
+let killed_shard_rehomes_and_respawns () =
+  if not (Sys.file_exists Helpers.cli) then Alcotest.skip ()
+  else begin
+    let dir = temp_dir () in
+    let lines = ref [] and lines_lock = Mutex.create () in
+    let log line = Mutex.protect lines_lock (fun () -> lines := line :: !lines) in
+    let events () = Mutex.protect lines_lock (fun () -> List.rev !lines) in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let spawn sock =
+      Unix.create_process Helpers.cli
+        [| Helpers.cli; "serve"; "--socket"; sock; "--workers"; "1"; "-q" |]
+        null null null
+    in
+    let endpoints =
+      List.init 2 (fun i ->
+          let name = Printf.sprintf "shard-%d" i in
+          {
+            Router.ep_name = name;
+            ep_socket = Filename.concat dir (name ^ ".sock");
+            ep_spawn = Some spawn;
+          })
+    in
+    let router =
+      match
+        Router.create ~config:{ Router.default_config with log = Some log } endpoints
+      with
+      | Ok r -> r
+      | Error m -> Alcotest.failf "router create: %s" m
+    in
+    let front, stop, dom = serve_front ~dir router in
+    Fun.protect
+      ~finally:(fun () ->
+        Router.shutdown router;
+        Transport.request_stop stop;
+        Domain.join dom;
+        Transport.close_stopper stop;
+        Unix.close null;
+        remove_dir dir)
+    @@ fun () ->
+    (* The first log line whose event (the text after "ts=... ") starts
+       with [prefix]: its index and the rest of the event. *)
+    let find_from lines prefix =
+      let rec go i = function
+        | [] -> None
+        | l :: rest -> (
+            let event =
+              match String.index_opt l ' ' with
+              | Some sp -> String.sub l (sp + 1) (String.length l - sp - 1)
+              | None -> l
+            in
+            let n = String.length prefix in
+            if String.starts_with ~prefix event then
+              Some (i, String.sub event n (String.length event - n))
+            else go (i + 1) rest)
+      in
+      go 0 lines
+    in
+    let params = { default_params with Proto.algorithm = "exact" } in
+    let owned_by_shard_1 (path, tasks) =
+      let key =
+        Fingerprint.solve_key ~problem:"sap" ~algorithm:"exact"
+          ~seed:params.Proto.seed path tasks
+      in
+      Router.owner_for router ~key = Some "shard-1"
+    in
+    let instances =
+      List.map valley_instance moderate_valley_seeds
+      |> List.filter owned_by_shard_1
+      |> List.filteri (fun i _ -> i < 32)
+    in
+    Alcotest.(check int) "32 instances owned by shard-1" 32 (List.length instances);
+    let victim =
+      match find_from (events ()) "event=shard-spawn shard=shard-1 pid=" with
+      | Some (_, pid) -> int_of_string pid
+      | None -> Alcotest.fail "no shard-spawn line for shard-1"
+    in
+    let batch = Domain.spawn (fun () -> batch_through_front ~params front instances) in
+    Unix.sleepf 0.15;
+    Unix.kill victim Sys.sigkill;
+    assert_all_solved instances (Domain.join batch);
+    (match find_from (events ()) "event=shard-down shard=shard-1 orphans=" with
+    | Some (_, n) ->
+        Alcotest.(check bool) ("orphans re-homed: " ^ n) true (int_of_string n >= 1)
+    | None -> Alcotest.fail "no shard-down line for shard-1");
+    (* A respawn, then a later shard-up: the keeper brought shard-1 back. *)
+    let back_up () =
+      let evs = events () in
+      match find_from evs "event=shard-respawn shard=shard-1 pid=" with
+      | None -> false
+      | Some (i, _) ->
+          find_from (List.filteri (fun j _ -> j > i) evs) "event=shard-up shard=shard-1"
+          <> None
+    in
+    let rec wait n =
+      if not (back_up ()) then
+        if n = 0 then Alcotest.fail "shard-1 never came back up"
+        else (Unix.sleepf 0.05; wait (n - 1))
+    in
+    wait 200;
+    let shards =
+      match Router.stats_json router with
+      | Obs.Json.Obj fields -> (
+          match List.assoc_opt "shards" fields with
+          | Some (Obs.Json.List shards) ->
+              List.filter_map (function Obs.Json.Obj sh -> Some sh | _ -> None) shards
+          | _ -> [])
+      | _ -> []
+    in
+    Alcotest.(check int) "both shards in stats" 2 (List.length shards);
+    Alcotest.(check bool) "respawns >= 1" true
+      (List.exists
+         (fun sh ->
+           match List.assoc_opt "respawns" sh with
+           | Some (Obs.Json.Int n) -> n >= 1
+           | _ -> false)
+         shards);
+    List.iter
+      (fun sh ->
+        Alcotest.(check bool) "shard up" true
+          (List.assoc_opt "state" sh = Some (Obs.Json.String "up")))
+      shards;
+    assert_all_solved instances (batch_through_front ~params front instances)
+  end
+
 (* ---------- loadgen sweep knee ---------- *)
 
 let knee_detection () =
@@ -485,6 +644,8 @@ let () =
             router_serves_every_verb;
           case "a shard's error reaches the client verbatim"
             router_relays_errors_verbatim;
+          case "a killed shard's solves are re-homed, and it respawns"
+            killed_shard_rehomes_and_respawns;
         ] );
       ("sweep", [ case "knee detection" knee_detection ]);
     ]
